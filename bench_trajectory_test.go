@@ -25,12 +25,18 @@ package hetpapi
 // CI stays deterministic on noisy shared runners; the CI bench-smoke
 // steps separately run BenchmarkSimThroughput and a small
 // BenchmarkFleetThroughput to prove the benchmarks still execute.
+//
+// Every repo path a file cites (a gate's test file, a command's package)
+// must exist, so a gate cannot outlive the code that carries it.
 
 import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
+	"unicode"
 )
 
 type benchCase struct {
@@ -109,6 +115,15 @@ func TestBenchTrajectory(t *testing.T) {
 			}
 			if bf.ID == "" || bf.Benchmark == "" || bf.Metric == "" {
 				t.Fatalf("%s missing id/benchmark/metric", path)
+			}
+			cited, err := citedPaths(raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range cited {
+				if _, err := os.Stat(p); err != nil {
+					t.Errorf("%s cites %s, which does not exist", path, p)
+				}
 			}
 			if len(bf.Cases) == 0 {
 				t.Fatalf("%s has no cases", path)
@@ -205,4 +220,47 @@ func TestBenchTrajectory(t *testing.T) {
 			}
 		})
 	}
+}
+
+// citedPaths returns the repo paths cited anywhere in a BENCH file's
+// string values, sorted: every slash-separated token whose first element
+// is a top-level directory of the repo, and every bare Go file name.
+// Other slashed tokens ("linux/amd64", "ns/point") are not paths.
+func citedPaths(raw []byte) ([]string, error) {
+	var doc any
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		return nil, err
+	}
+	notPath := func(r rune) bool {
+		return !unicode.IsLetter(r) && !unicode.IsDigit(r) && !strings.ContainsRune("_./-", r)
+	}
+	var out []string
+	var walk func(v any)
+	walk = func(v any) {
+		switch v := v.(type) {
+		case map[string]any:
+			for _, x := range v {
+				walk(x)
+			}
+		case []any:
+			for _, x := range v {
+				walk(x)
+			}
+		case string:
+			for _, tok := range strings.FieldsFunc(v, notPath) {
+				tok = strings.TrimRight(tok, "./")
+				first, _, nested := strings.Cut(tok, "/")
+				if nested {
+					if fi, err := os.Stat(first); err == nil && fi.IsDir() {
+						out = append(out, tok)
+					}
+				} else if strings.HasSuffix(tok, ".go") {
+					out = append(out, tok)
+				}
+			}
+		}
+	}
+	walk(doc)
+	sort.Strings(out)
+	return out, nil
 }

@@ -113,7 +113,8 @@ type DegradationReport struct {
 	Events []DegradationEvent
 }
 
-// degrade is the per-EventSet degradation state.
+// degrade is the per-EventSet degradation state. The per-native part
+// (carries, count snapshots, stale marks) lives in EventSet.slots.
 type degrade struct {
 	report DegradationReport
 	// fallbackMux records the sticky ENOSPC fallback.
@@ -121,17 +122,6 @@ type degrade struct {
 	// retryTicks is the EBUSY backoff budget: 0 selects
 	// defaultRetryTicks, negative disables in-place retry.
 	retryTicks int
-	// carry holds, per open fd, the count accumulated by predecessors
-	// of that descriptor killed by hotplug.
-	carry map[int]float64
-	// lastCounts and lastTimes snapshot each fd's reading at the last
-	// successful collect, for carry computation and stale detection.
-	lastCounts map[int]perfevent.Count
-	lastTimes  map[int]perfevent.Count
-	// staleFd marks descriptors whose counter froze while enabled; the
-	// mark is sticky until the counter runs again, so back-to-back
-	// reads of a frozen counter stay flagged.
-	staleFd map[int]bool
 	// lastFinal is the monotonic floor per entry.
 	lastFinal []uint64
 	// lastValues is the most recent successful result, served (flagged
@@ -226,13 +216,10 @@ func (es *EventSet) startLadder() error {
 }
 
 // resetRunState clears the per-run read state after a successful Start:
-// fresh descriptors start counting from zero, so monotonic floors and
-// snapshots from the previous run no longer apply.
+// fresh descriptors start counting from zero, so monotonic floors from
+// the previous run no longer apply. (startOnce built fresh slots, so the
+// per-native snapshots are already clear.)
 func (es *EventSet) resetRunState() {
-	es.deg.carry = map[int]float64{}
-	es.deg.lastCounts = map[int]perfevent.Count{}
-	es.deg.lastTimes = map[int]perfevent.Count{}
-	es.deg.staleFd = map[int]bool{}
 	es.deg.lastFinal = make([]uint64, len(es.entries))
 }
 
@@ -241,14 +228,20 @@ func (es *EventSet) resetRunState() {
 // needed); on a stopped set it serves the final values of the last run,
 // explicitly flagged stale, instead of failing — the read-after-stop
 // behavior that used to silently return unflagged pre-migration counts.
-func (es *EventSet) ReadValues() ([]Value, error) {
+// The result is a new slice; ReadValuesInto reuses the caller's.
+func (es *EventSet) ReadValues() ([]Value, error) { return es.ReadValuesInto(nil) }
+
+// ReadValuesInto is ReadValues into caller scratch: it overwrites dst from
+// index 0 and returns it, allocating only when dst has less capacity than
+// the set has events. On error it returns nil and leaves dst untouched.
+func (es *EventSet) ReadValuesInto(dst []Value) ([]Value, error) {
 	if es.state != stateRunning {
 		if es.deg.lastValues == nil {
 			return nil, ErrNotRunning
 		}
-		return es.serveStale("read of stopped eventset"), nil
+		return es.serveStale(dst, "read of stopped eventset"), nil
 	}
-	return es.collectValues()
+	return es.collectValues(dst)
 }
 
 // StopValues stops counting and returns the final degradation-aware
@@ -259,13 +252,13 @@ func (es *EventSet) StopValues() ([]Value, error) {
 	if es.state != stateRunning {
 		return nil, ErrNotRunning
 	}
-	vals, err := es.collectValues()
+	vals, err := es.collectValues(nil)
 	if err != nil {
 		return nil, err
 	}
 	k := es.lib.sys.Kernel
-	for _, fd := range es.leaders {
-		if err := k.Disable(fd); err != nil && !errors.Is(err, perfevent.ErrNoSuchDevice) {
+	for _, g := range es.groups {
+		if err := k.Disable(es.leaderFD(g)); err != nil && !errors.Is(err, perfevent.ErrNoSuchDevice) {
 			return nil, err
 		}
 	}
@@ -279,14 +272,14 @@ func (es *EventSet) StopValues() ([]Value, error) {
 	return vals, nil
 }
 
-// collectValues reads every group and assembles Values, rebuilding dead
-// groups (at most twice) and falling back to flagged stale service when
-// the substrate cannot answer at all.
-func (es *EventSet) collectValues() ([]Value, error) {
+// collectValues reads every group and assembles Values into dst,
+// rebuilding dead groups (at most twice) and falling back to flagged
+// stale service when the substrate cannot answer at all.
+func (es *EventSet) collectValues(dst []Value) ([]Value, error) {
 	for attempt := 0; ; attempt++ {
-		counts, err := es.readAll()
+		err := es.readAll()
 		if err == nil {
-			return es.buildValues(counts), nil
+			return es.buildValues(dst), nil
 		}
 		if !errors.Is(err, perfevent.ErrNoSuchDevice) || attempt >= 2 {
 			return nil, err
@@ -295,32 +288,18 @@ func (es *EventSet) collectValues() ([]Value, error) {
 			if es.deg.lastValues == nil {
 				return nil, err
 			}
-			return es.serveStale("no online CPU to rebuild on"), nil
+			return es.serveStale(dst, "no online CPU to rebuild on"), nil
 		}
 	}
 }
 
-func (es *EventSet) readAll() (map[int]perfevent.Count, error) {
-	k := es.lib.sys.Kernel
-	counts := map[int]perfevent.Count{}
-	for _, leader := range es.leaders {
-		got, err := k.ReadGroup(leader)
-		if err != nil {
-			return nil, err
-		}
-		for i, fd := range es.members[leader] {
-			counts[fd] = got[i]
-		}
-	}
-	return counts, nil
-}
-
-// serveStale returns the last known values flagged stale and degraded.
-func (es *EventSet) serveStale(why string) []Value {
+// serveStale returns, in dst, the last known values flagged stale and
+// degraded.
+func (es *EventSet) serveStale(dst []Value, why string) []Value {
 	es.deg.report.StaleReads++
 	es.deg.report.DegradedReads++
 	es.recordDegradation(es.lib.sys.Now(), "stale-serve", why)
-	out := append([]Value(nil), es.deg.lastValues...)
+	out := append(dst[:0], es.deg.lastValues...)
 	for i := range out {
 		out[i].Stale = true
 		out[i].Degraded = true
@@ -331,120 +310,105 @@ func (es *EventSet) serveStale(why string) []Value {
 // rebuildDead reopens every hotplug-killed group on the lowest online
 // CPU, carrying the last observed counts forward. Only CPU-wide groups
 // can die (per-task events follow their thread), and those are opened
-// as singleton leaders, but the walk handles full groups anyway.
-// Returns false if nothing could be rebuilt.
+// as singleton leaders, but the walk handles full groups anyway: a group
+// is rebuilt whole or not at all. Returns false if nothing could be
+// rebuilt.
 func (es *EventSet) rebuildDead() bool {
 	k := es.lib.sys.Kernel
 	online := k.OnlineCPUs()
 	rebuilt := false
-	for li, leader := range append([]int(nil), es.leaders...) {
-		if _, err := k.ReadGroup(leader); !errors.Is(err, perfevent.ErrNoSuchDevice) {
+	for _, g := range es.groups {
+		leader := es.leaderFD(g)
+		got, err := k.ReadGroupInto(leader, es.counts)
+		es.counts = got
+		if !errors.Is(err, perfevent.ErrNoSuchDevice) {
 			continue
 		}
 		if len(online) == 0 {
 			return rebuilt
 		}
 		newCPU := online[0]
-		oldMembers := es.members[leader]
-		newLeader := -1
-		var newMembers []int
-		ok := true
-		for _, fd := range oldMembers {
-			ei, ni := es.findFd(fd)
-			if ei < 0 {
-				continue
-			}
-			n := es.entries[ei].natives[ni]
-			attr := n.Attr
+		newFDs := make([]int, 0, len(g.slots))
+		for _, si := range g.slots {
+			e := &es.entries[es.slots[si].entry]
+			attr := e.natives[si-e.first].Attr
 			attr.Disabled = true
-			attr.SamplePeriod = es.entries[ei].samplePeriod
+			attr.SamplePeriod = e.samplePeriod
 			groupFD := -1
-			if newLeader >= 0 {
-				groupFD = newLeader
+			if len(newFDs) > 0 {
+				groupFD = newFDs[0]
 			}
 			nfd, err := k.Open(attr, -1, newCPU, groupFD)
 			if err != nil {
-				ok = false
 				break
 			}
-			es.deg.carry[nfd] = es.deg.carry[fd] + float64(es.deg.lastCounts[fd].Value)
-			delete(es.deg.carry, fd)
-			es.deg.lastTimes[nfd] = perfevent.Count{}
-			delete(es.deg.lastTimes, fd)
-			delete(es.deg.lastCounts, fd)
-			es.entries[ei].fds[ni] = nfd
-			if newLeader < 0 {
-				newLeader = nfd
+			newFDs = append(newFDs, nfd)
+		}
+		if len(newFDs) < len(g.slots) {
+			// The dead group stays in place and reads ENODEV until a
+			// later rebuild succeeds.
+			for i := len(newFDs) - 1; i >= 0; i-- {
+				k.Close(newFDs[i])
 			}
-			newMembers = append(newMembers, nfd)
-			k.Close(fd) // dead descriptors still close cleanly
-		}
-		if !ok || newLeader < 0 {
 			continue
 		}
-		if err := k.Enable(newLeader); err != nil {
+		for i, si := range g.slots {
+			sl := &es.slots[si]
+			k.Close(sl.fd) // dead descriptors still close cleanly
+			sl.fd = newFDs[i]
+			sl.carry += float64(sl.lastValue)
+			sl.lastValue = 0
+			sl.lastTimes, sl.seen = perfevent.Count{}, true
+			sl.stale = false
+		}
+		if err := k.Enable(newFDs[0]); err != nil {
 			continue
 		}
-		delete(es.members, leader)
-		es.members[newLeader] = newMembers
-		es.leaderType[newLeader] = es.leaderType[leader]
-		delete(es.leaderType, leader)
-		es.leaders[li] = newLeader
 		es.deg.report.HotplugRebuilds++
 		es.recordDegradation(es.lib.sys.Now(), "hotplug-rebuild",
-			fmt.Sprintf("group fd %d died with its CPU: rebuilt on cpu%d as fd %d", leader, newCPU, newLeader))
+			fmt.Sprintf("group fd %d died with its CPU: rebuilt on cpu%d as fd %d", leader, newCPU, newFDs[0]))
 		rebuilt = true
 	}
 	return rebuilt
 }
 
-// findFd locates an open fd's (entry, native) indices, or (-1, -1).
-func (es *EventSet) findFd(fd int) (int, int) {
-	for ei := range es.entries {
-		for ni, f := range es.entries[ei].fds {
-			if f == fd {
-				return ei, ni
-			}
-		}
-	}
-	return -1, -1
-}
-
-// buildValues assembles per-entry Values from raw group counts and
-// updates the read snapshots.
-func (es *EventSet) buildValues(counts map[int]perfevent.Count) []Value {
+// buildValues assembles per-entry Values from the slots' fresh counts
+// into dst and updates the read snapshots.
+func (es *EventSet) buildValues(dst []Value) []Value {
 	scaling := es.muxActive()
 	degraded := es.Degraded()
 	anyStale, anyClamp := false, false
-	out := make([]Value, 0, len(es.entries))
+	out := dst[:0]
+	if cap(out) < len(es.entries) {
+		out = make([]Value, 0, len(es.entries))
+	}
 	for idx := range es.entries {
 		e := &es.entries[idx]
 		var rawSum, scaledSum float64
 		var maxEn, maxRun float64
 		hwNatives, staleNatives := 0, 0
-		for i, fd := range e.fds {
-			c := counts[fd]
-			carry := es.deg.carry[fd]
-			raw := float64(c.Value) + carry
+		for i := range e.natives {
+			sl := &es.slots[e.first+i]
+			c := sl.count
+			raw := float64(c.Value) + sl.carry
 			sc := raw
 			if scaling {
-				sc = float64(c.Scaled()) + carry
+				sc = float64(c.Scaled()) + sl.carry
 			}
 			sign := e.signOf(i)
 			rawSum += sign * raw
 			scaledSum += sign * sc
-			if es.isHWNative(e.natives[i].PMU) {
+			if sl.hw {
 				hwNatives++
-				prev, seen := es.deg.lastTimes[fd]
 				switch {
-				case seen && c.TimeRunning > prev.TimeRunning+timeEps:
-					es.deg.staleFd[fd] = false // ran again: freshness restored
-				case seen && c.TimeEnabled > prev.TimeEnabled+timeEps:
-					es.deg.staleFd[fd] = true // enabled but frozen
-				case !seen && c.TimeEnabled > timeEps && c.TimeRunning <= timeEps:
-					es.deg.staleFd[fd] = true
+				case sl.seen && c.TimeRunning > sl.lastTimes.TimeRunning+timeEps:
+					sl.stale = false // ran again: freshness restored
+				case sl.seen && c.TimeEnabled > sl.lastTimes.TimeEnabled+timeEps:
+					sl.stale = true // enabled but frozen
+				case !sl.seen && c.TimeEnabled > timeEps && c.TimeRunning <= timeEps:
+					sl.stale = true
 				}
-				if es.deg.staleFd[fd] {
+				if sl.stale {
 					staleNatives++
 				}
 				if c.TimeEnabled > maxEn {
@@ -492,9 +456,10 @@ func (es *EventSet) buildValues(counts map[int]perfevent.Count) []Value {
 			Degraded:    degraded || stale,
 		})
 	}
-	for fd, c := range counts {
-		es.deg.lastCounts[fd] = c
-		es.deg.lastTimes[fd] = c
+	for i := range es.slots {
+		sl := &es.slots[i]
+		sl.lastValue = sl.count.Value
+		sl.lastTimes, sl.seen = sl.count, true
 	}
 	if anyStale {
 		es.deg.report.StaleReads++
@@ -503,7 +468,7 @@ func (es *EventSet) buildValues(counts map[int]perfevent.Count) []Value {
 		es.deg.report.DegradedReads++
 	}
 	es.traceReadQuality(degraded || anyStale || anyClamp)
-	es.deg.lastValues = append([]Value(nil), out...)
+	es.deg.lastValues = append(es.deg.lastValues[:0], out...)
 	return out
 }
 

@@ -23,8 +23,10 @@ type entry struct {
 	natives []pfmlib.EventInfo
 	// signs holds +1/-1 per native for derived-subtract presets
 	// (PAPI_L3_TCH = accesses - misses); nil means all positive.
-	signs        []float64
-	fds          []int // parallel to natives, valid while fds are open
+	signs []float64
+	// first is the index in EventSet.slots of natives[0]; native i is
+	// slots[first+i]. Valid while the set's descriptors are open.
+	first        int
 	samplePeriod uint64
 }
 
@@ -52,19 +54,57 @@ type EventSet struct {
 
 	multiplex bool
 
-	// members maps each group-leader fd to its group's fds in open order
-	// (leader first). Valid while running or until cleanup.
-	members map[int][]int
-	// leaders holds the group-leader fds in open order.
-	leaders []int
-	// leaderType maps each leader fd to its perf PMU type.
-	leaderType map[int]uint32
+	// slots holds one entry per open native event, in add order; groups
+	// lists the perf event groups over them in open order. Both are nil
+	// until the first Start and again after Cleanup.
+	slots  []slot
+	groups []group
+	// counts is ReadGroupInto scratch, reused across groups and reads.
+	counts []perfevent.Count
 
 	startedAt float64
 
 	// deg is the graceful-degradation state (see degrade.go).
 	deg degrade
 }
+
+// slot is one open native event: its live descriptor plus the read and
+// degradation state kept for it across reads. A hotplug rebuild gives the
+// slot a new fd; everything else about the native stays in place.
+type slot struct {
+	fd int
+	// entry indexes EventSet.entries: the slot is that entry's native
+	// number (slot index - entry.first).
+	entry int
+	// hw marks a native counted on hardware core counters (isHWNative).
+	hw bool
+	// count is the latest read of fd: scratch, valid only within one read.
+	count perfevent.Count
+	// carry is the count accumulated by predecessors of fd that hotplug
+	// killed.
+	carry float64
+	// lastValue is fd's value at the last successful degradation-aware
+	// read (0 before the first, and after Reset or a rebuild).
+	lastValue uint64
+	// lastTimes snapshots fd's times at the last such read; seen says
+	// whether there is a snapshot to compare against.
+	lastTimes perfevent.Count
+	seen      bool
+	// stale marks a counter that froze while enabled; the mark is sticky
+	// until the counter runs again, so back-to-back reads of a frozen
+	// counter stay flagged.
+	stale bool
+}
+
+// group is one perf event group of a running set.
+type group struct {
+	pmuType uint32
+	// slots indexes EventSet.slots in open order, leader first.
+	slots []int
+}
+
+// leaderFD returns the descriptor of group g's leader.
+func (es *EventSet) leaderFD(g group) int { return es.slots[g.slots[0]].fd }
 
 // CreateEventSet returns an empty, unattached EventSet.
 func (l *Library) CreateEventSet() *EventSet {
@@ -285,30 +325,20 @@ func (es *EventSet) startOnce() error {
 	}
 
 	k := es.lib.sys.Kernel
-	es.members = map[int][]int{}
-	es.leaders = nil
-	es.leaderType = map[int]uint32{}
-	// Track the leader fd per PMU type while opening in add order.
-	leaderOf := map[uint32]int{}
+	n := es.NumNative()
+	es.slots = make([]slot, 0, n)
+	es.groups = make([]group, 0, n)
+	// Track the group per PMU type while opening in add order.
+	groupOf := map[uint32]int{}
 
 	fail := func(err error) error {
-		for _, fds := range es.members {
-			for _, fd := range fds {
-				k.Close(fd)
-			}
-		}
-		es.members = nil
-		es.leaders = nil
-		es.leaderType = nil
-		for i := range es.entries {
-			es.entries[i].fds = nil
-		}
+		_ = es.closeGroups()
 		return err
 	}
 
 	for i := range es.entries {
 		e := &es.entries[i]
-		e.fds = nil
+		e.first = len(es.slots)
 		for _, n := range e.natives {
 			attr := n.Attr
 			attr.Disabled = true
@@ -318,35 +348,35 @@ func (es *EventSet) startOnce() error {
 			if cpuWide {
 				pid, cpuTarget = -1, 0
 			}
+			groupable := !es.muxActive() && !cpuWide && n.PMU != "perf"
+			gi, joined := groupOf[attr.Type]
+			joined = joined && groupable
 			groupFD := -1
-			if !es.muxActive() && !cpuWide && n.PMU != "perf" {
-				if lfd, ok := leaderOf[attr.Type]; ok {
-					groupFD = lfd
-				}
+			if joined {
+				groupFD = es.leaderFD(es.groups[gi])
 			}
 			fd, err := k.Open(attr, pid, cpuTarget, groupFD)
 			if err != nil {
 				return fail(fmt.Errorf("core: opening %s: %w", n.FullName, err))
 			}
-			if groupFD == -1 {
-				if !es.muxActive() && !cpuWide && n.PMU != "perf" {
-					leaderOf[attr.Type] = fd
-				}
-				es.leaders = append(es.leaders, fd)
-				es.leaderType[fd] = attr.Type
-				es.members[fd] = []int{fd}
+			si := len(es.slots)
+			es.slots = append(es.slots, slot{fd: fd, entry: i, hw: es.isHWNative(n.PMU)})
+			if joined {
+				es.groups[gi].slots = append(es.groups[gi].slots, si)
 			} else {
-				es.members[groupFD] = append(es.members[groupFD], fd)
+				if groupable {
+					groupOf[attr.Type] = len(es.groups)
+				}
+				es.groups = append(es.groups, group{pmuType: attr.Type, slots: []int{si}})
 			}
-			e.fds = append(e.fds, fd)
 		}
 	}
 
 	// Enable all groups. Real PAPI does one ioctl per group leader — on a
 	// hybrid machine that is one per core type, the extra start overhead
 	// section V.5 worries about.
-	for _, fd := range es.leaders {
-		if err := k.Enable(fd); err != nil {
+	for _, g := range es.groups {
+		if err := k.Enable(es.leaderFD(g)); err != nil {
 			return fail(err)
 		}
 	}
@@ -363,17 +393,17 @@ func (es *EventSet) Running() bool { return es.state == stateRunning }
 
 // NumGroups returns the number of perf event groups backing the running
 // set (one per PMU type, or one per event when multiplexed).
-func (es *EventSet) NumGroups() int { return len(es.leaders) }
+func (es *EventSet) NumGroups() int { return len(es.groups) }
 
 // GroupPMUTypes returns the distinct perf PMU types of the running
 // groups, sorted.
 func (es *EventSet) GroupPMUTypes() []uint32 {
 	seen := map[uint32]bool{}
 	var out []uint32
-	for _, t := range es.leaderType {
-		if !seen[t] {
-			seen[t] = true
-			out = append(out, t)
+	for _, g := range es.groups {
+		if !seen[g.pmuType] {
+			seen[g.pmuType] = true
+			out = append(out, g.pmuType)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
@@ -402,41 +432,20 @@ func (es *EventSet) ReadFast() ([]uint64, error) {
 }
 
 func (es *EventSet) collect(fast bool) ([]uint64, error) {
-	k := es.lib.sys.Kernel
-	counts := map[int]perfevent.Count{}
+	var err error
 	if fast {
-		for _, e := range es.entries {
-			for _, fd := range e.fds {
-				c, err := k.ReadUser(fd)
-				if err != nil {
-					c, err = k.Read(fd) // energy events: no rdpmc page
-					if err != nil {
-						return nil, err
-					}
-				}
-				counts[fd] = c
-			}
-		}
+		err = es.readUser()
 	} else {
-		// One read syscall per group (PERF_FORMAT_GROUP), the best case
-		// the paper describes: "at least two or more relatively
-		// high-latency read syscalls" on a hybrid machine.
-		for _, leader := range es.leaders {
-			got, err := k.ReadGroup(leader)
-			if err != nil {
-				return nil, err
-			}
-			for i, fd := range es.members[leader] {
-				counts[fd] = got[i]
-			}
-		}
+		err = es.readAll()
 	}
-
-	var out []uint64
+	if err != nil {
+		return nil, err
+	}
+	out := make([]uint64, 0, len(es.entries))
 	for _, e := range es.entries {
 		var sum float64
-		for i, fd := range e.fds {
-			c := counts[fd]
+		for i := range e.natives {
+			c := es.slots[e.first+i].count
 			v := c.Value
 			if es.muxActive() {
 				v = c.Scaled()
@@ -451,6 +460,43 @@ func (es *EventSet) collect(fast bool) ([]uint64, error) {
 	return out, nil
 }
 
+// readAll reads every group into its slots' count scratch: one read
+// syscall per group (PERF_FORMAT_GROUP), the best case the paper
+// describes — "at least two or more relatively high-latency read
+// syscalls" on a hybrid machine.
+func (es *EventSet) readAll() error {
+	k := es.lib.sys.Kernel
+	for _, g := range es.groups {
+		got, err := k.ReadGroupInto(es.leaderFD(g), es.counts)
+		es.counts = got
+		if err != nil {
+			return err
+		}
+		for i, si := range g.slots {
+			es.slots[si].count = got[i]
+		}
+	}
+	return nil
+}
+
+// readUser reads every slot through the rdpmc fast path, falling back to
+// a read syscall where there is no user-mappable counter page.
+func (es *EventSet) readUser() error {
+	k := es.lib.sys.Kernel
+	for i := range es.slots {
+		sl := &es.slots[i]
+		c, err := k.ReadUser(sl.fd)
+		if err != nil {
+			c, err = k.Read(sl.fd) // energy events: no rdpmc page
+			if err != nil {
+				return err
+			}
+		}
+		sl.count = c
+	}
+	return nil
+}
+
 // Stop stops counting and returns the final values (PAPI_stop).
 func (es *EventSet) Stop() ([]uint64, error) {
 	if es.state != stateRunning {
@@ -461,8 +507,8 @@ func (es *EventSet) Stop() ([]uint64, error) {
 		return nil, err
 	}
 	k := es.lib.sys.Kernel
-	for _, fd := range es.leaders {
-		if err := k.Disable(fd); err != nil {
+	for _, g := range es.groups {
+		if err := k.Disable(es.leaderFD(g)); err != nil {
 			return nil, err
 		}
 	}
@@ -478,12 +524,12 @@ func (es *EventSet) Stop() ([]uint64, error) {
 
 // Reset zeroes all counters (PAPI_reset), running or stopped.
 func (es *EventSet) Reset() error {
-	if es.members == nil {
+	if es.groups == nil {
 		return nil // nothing open yet
 	}
 	k := es.lib.sys.Kernel
-	for _, fd := range es.leaders {
-		if err := k.Reset(fd); err != nil {
+	for _, g := range es.groups {
+		if err := k.Reset(es.leaderFD(g)); err != nil {
 			return err
 		}
 	}
@@ -493,8 +539,10 @@ func (es *EventSet) Reset() error {
 	for i := range es.deg.lastFinal {
 		es.deg.lastFinal[i] = 0
 	}
-	es.deg.carry = map[int]float64{}
-	es.deg.lastCounts = map[int]perfevent.Count{}
+	for i := range es.slots {
+		es.slots[i].carry = 0
+		es.slots[i].lastValue = 0
+	}
 	return nil
 }
 
@@ -505,25 +553,23 @@ func (es *EventSet) Cleanup() error {
 	if es.state == stateRunning {
 		return ErrIsRunning
 	}
-	if es.members == nil {
-		return nil
-	}
+	return es.closeGroups()
+}
+
+// closeGroups closes every open descriptor, group by group in open order
+// and siblings before their leader, then forgets the slots. It returns
+// the first Close error.
+func (es *EventSet) closeGroups() error {
 	k := es.lib.sys.Kernel
 	var firstErr error
-	for _, fds := range es.members {
-		// Close siblings before leaders (reverse open order).
-		for i := len(fds) - 1; i >= 0; i-- {
-			if err := k.Close(fds[i]); err != nil && firstErr == nil {
+	for _, g := range es.groups {
+		for i := len(g.slots) - 1; i >= 0; i-- {
+			if err := k.Close(es.slots[g.slots[i]].fd); err != nil && firstErr == nil {
 				firstErr = err
 			}
 		}
 	}
-	es.members = nil
-	es.leaders = nil
-	es.leaderType = nil
-	for i := range es.entries {
-		es.entries[i].fds = nil
-	}
+	es.slots, es.groups = nil, nil
 	return firstErr
 }
 

@@ -43,7 +43,7 @@ func (es *EventSet) SetSamplePeriod(index int, period uint64) error {
 // overflow. The set must be running or freshly stopped (descriptors still
 // open).
 func (es *EventSet) Samples() ([]perfevent.Sample, uint64, error) {
-	if es.members == nil {
+	if es.groups == nil {
 		return nil, 0, ErrNotRunning
 	}
 	k := es.lib.sys.Kernel
@@ -53,8 +53,8 @@ func (es *EventSet) Samples() ([]perfevent.Sample, uint64, error) {
 		if e.samplePeriod == 0 {
 			continue
 		}
-		for _, fd := range e.fds {
-			samples, lost, err := k.ReadSamples(fd)
+		for i := range e.natives {
+			samples, lost, err := k.ReadSamples(es.slots[e.first+i].fd)
 			if err != nil {
 				return nil, 0, err
 			}

@@ -68,7 +68,7 @@ func (es *EventSet) traceStartSpan(fromSec float64, err error) {
 	}
 	r.Span(trk, "papi.start", "papi", fromSec, es.lib.sys.Now()-fromSec,
 		spantrace.Int("eventset", es.id),
-		spantrace.Int("groups", len(es.leaders)),
+		spantrace.Int("groups", len(es.groups)),
 		spantrace.Err(err))
 }
 

@@ -178,8 +178,9 @@ func (s *Stats) Add(other Stats) {
 
 // ValueOf returns the value of the given kind contained in the stats.
 // Energy kinds always return 0 here; they are serviced by the power model,
-// not by task execution.
-func ValueOf(s Stats, k Kind) float64 {
+// not by task execution. The stats are passed by pointer: the kernel calls
+// this once per credited event per tick.
+func ValueOf(s *Stats, k Kind) float64 {
 	switch k {
 	case KindInstructions:
 		return s.Instructions

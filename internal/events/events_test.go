@@ -156,7 +156,7 @@ func TestValueOf(t *testing.T) {
 		{KindNone, 0},
 	}
 	for _, c := range cases {
-		if got := ValueOf(s, c.k); got != c.want {
+		if got := ValueOf(&s, c.k); got != c.want {
 			t.Errorf("ValueOf(%v) = %g, want %g", c.k, got, c.want)
 		}
 	}
@@ -218,8 +218,8 @@ func TestStatsAddProperty(t *testing.T) {
 			if k.Energy() {
 				continue
 			}
-			got := ValueOf(sum, k)
-			want := ValueOf(a, k) + ValueOf(b, k)
+			got := ValueOf(&sum, k)
+			want := ValueOf(&a, k) + ValueOf(&b, k)
 			diff := got - want
 			if diff < 0 {
 				diff = -diff
@@ -274,7 +274,7 @@ func TestSoftwareKindClassification(t *testing.T) {
 		if k.String() == "" || k.String()[:3] != "sw-" {
 			t.Errorf("%v string = %q", k, k.String())
 		}
-		if ValueOf(Stats{Instructions: 1e9}, k) != 0 {
+		if ValueOf(&Stats{Instructions: 1e9}, k) != 0 {
 			t.Errorf("%v must not be serviced by ValueOf", k)
 		}
 	}

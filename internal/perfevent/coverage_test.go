@@ -18,9 +18,9 @@ func TestEventAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var e *Event
-	for _, ev := range k.fds {
-		e = ev
+	e, err := k.lookup(fd)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if e.FD() != fd {
 		t.Errorf("FD = %d, want %d", e.FD(), fd)

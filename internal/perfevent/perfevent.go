@@ -110,41 +110,46 @@ func (c Count) Scaled() uint64 {
 	return uint64(float64(c.Value) * c.TimeEnabled / c.TimeRunning)
 }
 
-// Event is one open perf event.
+// Event is one open perf event. The fields TaskExec and Read touch every
+// tick come first, so they share a cache line.
 type Event struct {
+	value       float64
+	timeEnabled float64
+	timeRunning float64
+	// shadow is the simulator-only oracle counter: what a dedicated,
+	// never-multiplexed counter would have counted (see ShadowValue).
+	shadow  float64
+	scale   float64
+	kind    events.Kind
+	pmuType uint32
+	enabled bool
+	// dead marks a descriptor invalidated by its CPU going offline:
+	// every further operation except Close returns ErrNoSuchDevice.
+	dead bool
+	// uncore caches whether pmuType is an uncore PMU, resolved at Open.
+	uncore       bool
+	samplePeriod uint64
+
+	leader *Event
+	// members is the event's group, itself first: the event and its
+	// siblings while it leads one, just the event otherwise. Open and
+	// Close keep it current so group walks on the per-tick path (TaskExec
+	// scheduling, ReadGroup) allocate nothing.
+	members []*Event
+
 	fd   int
 	attr Attr
 	pid  int
 	cpu  int
-
-	pmuType uint32
-	kind    events.Kind
-	scale   float64
-	name    string
-
-	leader   *Event
-	siblings []*Event
-
-	enabled     bool
-	value       float64
-	timeEnabled float64
-	timeRunning float64
-
-	// dead marks a descriptor invalidated by its CPU going offline:
-	// every further operation except Close returns ErrNoSuchDevice.
-	dead bool
-	// shadow is the simulator-only oracle counter: what a dedicated,
-	// never-multiplexed counter would have counted (see ShadowValue).
-	shadow float64
+	name string
 
 	// energyBase is the RAPL accumulator snapshot at enable/reset time.
 	energyBase float64
 
-	// sampling state
-	samplePeriod uint64
-	sampleAcc    float64
-	samples      []Sample
-	lostSamples  uint64
+	// sampling state (samplePeriod sits with the hot fields)
+	sampleAcc   float64
+	samples     []Sample
+	lostSamples uint64
 	// drainRingCap is the ring capacity in effect at the previous
 	// ReadSamples drain (0 = never drained); a change between drains
 	// makes the next drain return a defensive copy.
@@ -163,11 +168,9 @@ func (e *Event) PMUType() uint32 { return e.pmuType }
 // Name returns the canonical decoded event name.
 func (e *Event) Name() string { return e.name }
 
-// group returns the event and its siblings (leader first).
-func (e *Event) group() []*Event {
-	g := []*Event{e}
-	return append(g, e.siblings...)
-}
+// group returns the event and its siblings (leader first). The slice is
+// the event's own; callers must not modify it.
+func (e *Event) group() []*Event { return e.members }
 
 // hwGroupSize returns how many hardware counters the group occupies
 // (software members are free).
@@ -186,12 +189,17 @@ type Kernel struct {
 	m   *hw.Machine
 	pwr *power.Model
 
-	fds    map[int]*Event
+	// fds is the descriptor table, indexed by fd. Descriptors are never
+	// reused (nextFD only grows), so a closed fd leaves a nil hole and
+	// nopen counts the live entries.
+	fds    []*Event
+	nopen  int
 	nextFD int
-	// byPid and byCPU index enabled-or-not events by target for the hot
-	// TaskExec path, in fd (open) order for determinism.
+	// byPid and byCPU (indexed by CPU) list enabled-or-not events by
+	// target for the hot TaskExec path, in fd (open) order for
+	// determinism.
 	byPid  map[int][]*Event
-	byCPU  map[int][]*Event
+	byCPU  [][]*Event
 	energy []*Event
 	uncore []*Event
 	// lastCPU tracks each task's previous placement for migration counts.
@@ -229,9 +237,8 @@ type Kernel struct {
 func NewKernel(m *hw.Machine) *Kernel {
 	return &Kernel{
 		m:       m,
-		fds:     map[int]*Event{},
 		byPid:   map[int][]*Event{},
-		byCPU:   map[int][]*Event{},
+		byCPU:   make([][]*Event, m.NumCPUs()),
 		lastCPU: map[int]int{},
 		nextFD:  3,
 		muxTick: 0.004, // default multiplex rotation interval
@@ -259,7 +266,7 @@ func (k *Kernel) Machine() *hw.Machine { return k.m }
 func (k *Kernel) Syscalls() int { return k.syscalls }
 
 // NumOpen returns the number of open events.
-func (k *Kernel) NumOpen() int { return len(k.fds) }
+func (k *Kernel) NumOpen() int { return k.nopen }
 
 // resolve maps an attr to (pmu type, kind, scale, name).
 func (k *Kernel) resolve(attr Attr) (uint32, events.Kind, float64, string, error) {
@@ -330,7 +337,8 @@ func (k *Kernel) resolve(attr Attr) (uint32, events.Kind, float64, string, error
 // pid >= 0 with cpu == -1 opens a per-task event that follows the task;
 // pid == -1 with cpu >= 0 opens a CPU-wide event. Energy (RAPL) events are
 // only valid CPU-wide. groupFD == -1 creates a new group leader; otherwise
-// the event joins that group and must share its PMU type and target.
+// the event joins that group and must share its PMU type and target (any
+// other negative groupFD is EBADF, as in the real syscall).
 func (k *Kernel) Open(attr Attr, pid, cpu, groupFD int) (fd int, err error) {
 	k.syscalls++
 	if k.tracer.Enabled() {
@@ -401,11 +409,13 @@ func (k *Kernel) Open(attr Attr, pid, cpu, groupFD int) (fd int, err error) {
 		name:         name,
 		enabled:      !attr.Disabled,
 		samplePeriod: attr.SamplePeriod,
+		uncore:       k.m.UncoreByPerfType(pmuType) != nil,
 	}
+	e.members = []*Event{e}
 
-	if groupFD >= 0 {
-		leader, ok := k.fds[groupFD]
-		if !ok {
+	if groupFD != -1 {
+		leader, err := k.lookup(groupFD)
+		if err != nil {
 			return -1, fmt.Errorf("%w: group fd %d", ErrBadFD, groupFD)
 		}
 		if leader.leader != nil {
@@ -437,7 +447,7 @@ func (k *Kernel) Open(attr Attr, pid, cpu, groupFD int) (fd int, err error) {
 			}
 		}
 		e.leader = leader
-		leader.siblings = append(leader.siblings, e)
+		leader.members = append(leader.members, e)
 	}
 
 	if e.enabled {
@@ -445,7 +455,11 @@ func (k *Kernel) Open(attr Attr, pid, cpu, groupFD int) (fd int, err error) {
 	}
 	e.fd = k.nextFD
 	k.nextFD++
+	for len(k.fds) <= e.fd {
+		k.fds = append(k.fds, nil)
+	}
 	k.fds[e.fd] = e
+	k.nopen++
 	if e.pid >= 0 {
 		k.byPid[e.pid] = append(k.byPid[e.pid], e)
 	} else {
@@ -454,7 +468,7 @@ func (k *Kernel) Open(attr Attr, pid, cpu, groupFD int) (fd int, err error) {
 	if e.kind.Energy() {
 		k.energy = append(k.energy, e)
 	}
-	if k.m.UncoreByPerfType(e.pmuType) != nil {
+	if e.uncore {
 		k.uncore = append(k.uncore, e)
 	}
 	return e.fd, nil
@@ -493,13 +507,13 @@ func (k *Kernel) energyValue(kind events.Kind) float64 {
 	return j / unit
 }
 
-// lookup returns the event for fd.
+// lookup returns the event for fd: ErrBadFD for negative, never-opened,
+// closed and past-the-end descriptors alike.
 func (k *Kernel) lookup(fd int) (*Event, error) {
-	e, ok := k.fds[fd]
-	if !ok {
+	if fd < 0 || fd >= len(k.fds) || k.fds[fd] == nil {
 		return nil, fmt.Errorf("%w: fd %d", ErrBadFD, fd)
 	}
-	return e, nil
+	return k.fds[fd], nil
 }
 
 // Enable starts counting (PERF_EVENT_IOC_ENABLE). Enabling a group leader
@@ -606,21 +620,31 @@ func (k *Kernel) ReadUser(fd int) (Count, error) {
 
 // ReadGroup returns the counts of a leader and all its siblings in one
 // operation (PERF_FORMAT_GROUP): one syscall for the whole group.
-func (k *Kernel) ReadGroup(fd int) (out []Count, err error) {
+func (k *Kernel) ReadGroup(fd int) ([]Count, error) { return k.ReadGroupInto(fd, nil) }
+
+// ReadGroupInto is ReadGroup into caller scratch: it writes the group's
+// counts (leader first) from dst[0] on and returns them, allocating only
+// when dst has less capacity than the group has members. On error it
+// returns dst[:0].
+func (k *Kernel) ReadGroupInto(fd int, dst []Count) (out []Count, err error) {
 	k.syscalls++
 	if k.tracer.Enabled() {
 		defer k.traceSys("read-group", time.Now(), &fd, &err)
 	}
 	k.pollFaults()
+	out = dst[:0]
 	e, err := k.lookup(fd)
 	if err != nil {
-		return nil, err
+		return out, err
 	}
 	if err := checkAlive(e); err != nil {
-		return nil, err
+		return out, err
 	}
 	if e.leader != nil {
-		return nil, fmt.Errorf("%w: fd %d is not a group leader", ErrInvalid, fd)
+		return out, fmt.Errorf("%w: fd %d is not a group leader", ErrInvalid, fd)
+	}
+	if cap(out) < len(e.group()) {
+		out = make([]Count, 0, len(e.group()))
 	}
 	for _, ev := range e.group() {
 		k.serviceEnergy(ev)
@@ -643,18 +667,12 @@ func (k *Kernel) Close(fd int) (err error) {
 		return err
 	}
 	if e.leader != nil {
-		sib := e.leader.siblings[:0]
-		for _, s := range e.leader.siblings {
-			if s != e {
-				sib = append(sib, s)
-			}
-		}
-		e.leader.siblings = sib
+		e.leader.members = removeEvent(e.leader.members, e)
 	} else {
-		for _, s := range e.siblings {
+		for _, s := range e.members[1:] {
 			s.leader = nil
 		}
-		e.siblings = nil
+		e.members = e.members[:1]
 	}
 	if e.pid >= 0 {
 		k.byPid[e.pid] = removeEvent(k.byPid[e.pid], e)
@@ -663,17 +681,15 @@ func (k *Kernel) Close(fd int) (err error) {
 		}
 	} else {
 		k.byCPU[e.cpu] = removeEvent(k.byCPU[e.cpu], e)
-		if len(k.byCPU[e.cpu]) == 0 {
-			delete(k.byCPU, e.cpu)
-		}
 	}
 	if e.kind.Energy() {
 		k.energy = removeEvent(k.energy, e)
 	}
-	if k.m.UncoreByPerfType(e.pmuType) != nil {
+	if e.uncore {
 		k.uncore = removeEvent(k.uncore, e)
 	}
-	delete(k.fds, fd)
+	k.fds[fd] = nil
+	k.nopen--
 	return nil
 }
 
@@ -707,7 +723,7 @@ func (k *Kernel) TaskExec(pid, cpu int, dt float64, st events.Stats) {
 	// core, whichever CPU they were nominally opened on.
 	for _, e := range k.uncore {
 		if e.enabled && !e.dead {
-			e.value += e.scale * events.ValueOf(st, e.kind)
+			e.value += e.scale * events.ValueOf(&st, e.kind)
 		}
 	}
 	matched := k.eventsFor(pid, cpu)
@@ -717,7 +733,7 @@ func (k *Kernel) TaskExec(pid, cpu int, dt float64, st events.Stats) {
 	// Partition into groups per PMU type and apply multiplexing.
 	running := k.scheduledSet(matched, coreType.PMU.PerfType)
 	for _, e := range matched {
-		if e.kind.Energy() || k.m.UncoreByPerfType(e.pmuType) != nil {
+		if e.kind.Energy() || e.uncore {
 			continue
 		}
 		e.timeEnabled += dt
@@ -738,7 +754,7 @@ func (k *Kernel) TaskExec(pid, cpu int, dt float64, st events.Stats) {
 			// enabled accrues (the task is running), running does not.
 			continue
 		}
-		delta := e.scale * events.ValueOf(st, e.kind)
+		delta := e.scale * events.ValueOf(&st, e.kind)
 		// The shadow oracle counts as if the event held a dedicated
 		// counter, unaffected by rotation or watchdog reservations.
 		e.shadow += delta
@@ -904,7 +920,7 @@ func (k *Kernel) NextDeadline(now float64) float64 {
 	next := math.Inf(1)
 	if k.muxTick > 0 {
 		for _, e := range k.fds {
-			if e.dead || !e.enabled || e.kind.Energy() || k.m.UncoreByPerfType(e.pmuType) != nil {
+			if e == nil || e.dead || !e.enabled || e.kind.Energy() || e.uncore {
 				continue
 			}
 			next = (math.Floor(now/k.muxTick) + 1) * k.muxTick

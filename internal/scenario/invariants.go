@@ -113,37 +113,30 @@ func (timeMonotonic) Final(*Context) error { return nil }
 // decreases — the validation Röhl et al. apply to real hardware events,
 // here applied to every simulated one.
 type counterMonotonic struct {
-	prevCounters map[int]uint64
-	prevEnergy   [4]float64
+	// wide and foreign hold one baseline per Context.Wide and
+	// Context.Foreign slot.
+	wide, foreign []counterBaseline
+	prevEnergy    [4]float64
+}
+
+// counterBaseline is a slot's previous reading, tagged with the fd it was
+// read from: a slot reopened after hotplug has a new fd and starts a
+// fresh baseline.
+type counterBaseline struct {
+	fd    int
+	value uint64
+	ok    bool
 }
 
 func (counterMonotonic) Name() string { return "counter-monotonic" }
 
 func (m *counterMonotonic) Check(c *Context) error {
-	if m.prevCounters == nil {
-		m.prevCounters = map[int]uint64{}
+	var err error
+	if m.wide, err = checkCounters(c.Sim.Kernel, c.Wide, m.wide); err != nil {
+		return err
 	}
-	for _, set := range [2][]WideEvent{c.Wide, c.Foreign} {
-		for _, we := range set {
-			if we.Dead {
-				continue
-			}
-			count, err := c.Sim.Kernel.Read(we.FD)
-			if err != nil {
-				// A fault plan can offline a CPU without going through
-				// the harness's hotplug bookkeeping; a dead descriptor
-				// is degradation, not a monotonicity violation.
-				if errors.Is(err, perfevent.ErrNoSuchDevice) {
-					continue
-				}
-				return fmt.Errorf("reading fd %d (cpu%d %s %v): %v", we.FD, we.CPU, we.TypeName, we.Kind, err)
-			}
-			if prev, ok := m.prevCounters[we.FD]; ok && count.Value < prev {
-				return fmt.Errorf("cpu%d %s %v counter decreased: %d -> %d",
-					we.CPU, we.TypeName, we.Kind, prev, count.Value)
-			}
-			m.prevCounters[we.FD] = count.Value
-		}
+	if m.foreign, err = checkCounters(c.Sim.Kernel, c.Foreign, m.foreign); err != nil {
+		return err
 	}
 	for i, d := range []power.Domain{power.DomainPkg, power.DomainCores, power.DomainRAM, power.DomainPsys} {
 		e := c.Sim.Power.EnergyJ(d)
@@ -156,6 +149,37 @@ func (m *counterMonotonic) Check(c *Context) error {
 }
 
 func (*counterMonotonic) Final(*Context) error { return nil }
+
+// checkCounters reads every live event of set and checks it against its
+// slot's baseline in base, which it grows to len(set) and returns.
+func checkCounters(k *perfevent.Kernel, set []WideEvent, base []counterBaseline) ([]counterBaseline, error) {
+	for len(base) < len(set) {
+		base = append(base, counterBaseline{})
+	}
+	for i := range set {
+		we := &set[i]
+		if we.Dead {
+			continue
+		}
+		count, err := k.Read(we.FD)
+		if err != nil {
+			// A fault plan can offline a CPU without going through the
+			// harness's hotplug bookkeeping; a dead descriptor is
+			// degradation, not a monotonicity violation.
+			if errors.Is(err, perfevent.ErrNoSuchDevice) {
+				continue
+			}
+			return base, fmt.Errorf("reading fd %d (cpu%d %s %v): %v", we.FD, we.CPU, we.TypeName, we.Kind, err)
+		}
+		b := &base[i]
+		if b.ok && b.fd == we.FD && count.Value < b.value {
+			return base, fmt.Errorf("cpu%d %s %v counter decreased: %d -> %d",
+				we.CPU, we.TypeName, we.Kind, b.value, count.Value)
+		}
+		*b = counterBaseline{fd: we.FD, value: count.Value, ok: true}
+	}
+	return base, nil
+}
 
 // energyConservation asserts the package energy counter equals the time
 // integral of package power over the run, within float bookkeeping
@@ -191,7 +215,8 @@ func (i coreTypeIsolation) Check(c *Context) error { return i.verify(c) }
 func (i coreTypeIsolation) Final(c *Context) error { return i.verify(c) }
 
 func (coreTypeIsolation) verify(c *Context) error {
-	for _, we := range c.Foreign {
+	for i := range c.Foreign {
+		we := &c.Foreign[i]
 		if we.Dead {
 			continue
 		}

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"hetpapi/internal/events"
 	"hetpapi/internal/hw"
 	"hetpapi/internal/sched"
 	"hetpapi/internal/sim"
@@ -61,7 +62,91 @@ func TestCounterMonotonicDetectsDecrease(t *testing.T) {
 		t.Fatalf("clean machine flagged: %v", err)
 	}
 	// Pretend the first counter had already reached an enormous value.
-	inv.prevCounters[ws.events[0].FD] = 1 << 60
+	inv.wide[0].value = 1 << 60
+	wantViolation(t, inv.Check(ctx), "decreased")
+}
+
+func TestCounterMonotonicDetectsForeignDecrease(t *testing.T) {
+	s := bootFor(t, "raptorlake")
+	ws, err := openWide(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ws.close(s)
+	if len(ws.foreign) == 0 {
+		t.Fatal("hybrid machine opened no foreign probes")
+	}
+	ctx := &Context{Sim: s, Wide: ws.events, Foreign: ws.foreign}
+	inv := &counterMonotonic{}
+	if err := inv.Check(ctx); err != nil {
+		t.Fatalf("clean machine flagged: %v", err)
+	}
+	inv.foreign[len(ws.foreign)-1].value = 1 << 60
+	wantViolation(t, inv.Check(ctx), "decreased")
+}
+
+// TestCounterMonotonicFreshBaselineAfterReopen: hotplugging a CPU off and
+// on reopens its harness counters under new fds that count from zero.
+// Baselines are tagged with the fd they were read from, so neither the
+// own-PMU slot nor the foreign-PMU slot is flagged, and the fresh
+// baseline still catches a real decrease.
+func TestCounterMonotonicFreshBaselineAfterReopen(t *testing.T) {
+	s := bootFor(t, "raptorlake")
+	ws, err := openWide(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ws.close(s)
+	p := s.Spawn(workload.NewInstructionLoop("loop", 1e9, 100), hw.AllCPUs(s.HW))
+	s.RunFor(0.05)
+	cpu := p.CPU()
+	if cpu < 0 {
+		t.Fatal("loop is not running")
+	}
+	wi, fi := -1, -1
+	for i, we := range ws.events {
+		if we.CPU == cpu && we.Kind == events.KindInstructions {
+			wi = i
+		}
+	}
+	for i, we := range ws.foreign {
+		if we.CPU == cpu {
+			fi = i
+		}
+	}
+	if wi < 0 || fi < 0 {
+		t.Fatalf("no wide/foreign instruction slots on cpu%d", cpu)
+	}
+	ctx := &Context{Sim: s, Wide: ws.events, Foreign: ws.foreign}
+	inv := &counterMonotonic{}
+	if err := inv.Check(ctx); err != nil {
+		t.Fatalf("clean machine flagged: %v", err)
+	}
+	if inv.wide[wi].value == 0 {
+		t.Fatalf("cpu%d instructions did not count", cpu)
+	}
+	// A foreign probe never counts; give its slot a baseline a reopened
+	// descriptor would undercut if baselines were not tagged by fd.
+	inv.foreign[fi].value = 1 << 40
+
+	oldWide, oldForeign := ws.events[wi].FD, ws.foreign[fi].FD
+	ws.offlineCPU(s, cpu)
+	s.SetCPUOnline(cpu, false)
+	if err := inv.Check(ctx); err != nil {
+		t.Fatalf("offline cpu flagged: %v", err)
+	}
+	s.SetCPUOnline(cpu, true)
+	ws.reopenCPU(s, cpu)
+	if ws.events[wi].Dead || ws.events[wi].FD == oldWide || ws.foreign[fi].Dead || ws.foreign[fi].FD == oldForeign {
+		t.Fatalf("cpu%d counters not reopened under new fds", cpu)
+	}
+	if err := inv.Check(ctx); err != nil {
+		t.Fatalf("reopened counters flagged: %v", err)
+	}
+	if inv.wide[wi].fd != ws.events[wi].FD || inv.foreign[fi].fd != ws.foreign[fi].FD {
+		t.Fatal("baselines not re-tagged with the new fds")
+	}
+	inv.foreign[fi].value = 1 << 40
 	wantViolation(t, inv.Check(ctx), "decreased")
 }
 

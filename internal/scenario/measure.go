@@ -37,7 +37,9 @@ type MeasureState struct {
 	Names []string
 	// Started reports whether the set is counting.
 	Started bool
-	// LastValues is the most recent degradation-aware reading.
+	// LastValues is the most recent degradation-aware reading. The probe
+	// overwrites it in place every tick; a hook that keeps values past
+	// its own call must copy them.
 	LastValues []core.Value
 	// StartErrs counts deferred Start attempts (the probe retries on its
 	// own tick schedule instead of backing off inside Start).
@@ -112,7 +114,7 @@ func (mp *measureProbe) step(now float64, target *spawnedWorkload) {
 		}
 		mp.state.Started = true
 	}
-	vals, err := mp.state.Set.ReadValues()
+	vals, err := mp.state.Set.ReadValuesInto(mp.state.LastValues)
 	if err != nil {
 		mp.state.ReadErrs++
 		return

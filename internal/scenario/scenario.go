@@ -860,12 +860,12 @@ type WideEvent struct {
 
 	attr  perfevent.Attr // for reopening after hotplug-on
 	carry float64        // delta accumulated by dead predecessors
+	base  float64        // value of FD when opened (warm machines)
 }
 
 type wideSet struct {
 	events  []WideEvent
 	foreign []WideEvent
-	base    map[int]float64 // fd -> value at open (warm machines)
 }
 
 // wideEventSpecs returns the per-PMU (event, umask, kind) triples openWide
@@ -906,7 +906,7 @@ func wideEventSpecs(tab *events.PMU) [](struct {
 // one foreign-PMU instruction counter per other core type, which the
 // core-type-isolation invariant asserts never counts.
 func openWide(s *sim.Machine) (*wideSet, error) {
-	ws := &wideSet{base: map[int]float64{}}
+	ws := &wideSet{}
 	m := s.HW
 	for cpu := 0; cpu < m.NumCPUs(); cpu++ {
 		t := m.TypeOf(cpu)
@@ -966,10 +966,11 @@ func openWide(s *sim.Machine) (*wideSet, error) {
 			ws.foreign = append(ws.foreign, WideEvent{FD: fd, CPU: cpu, TypeName: ft.Name, Kind: events.KindInstructions, attr: attr})
 		}
 	}
-	for _, we := range append(append([]WideEvent(nil), ws.events...), ws.foreign...) {
-		c, err := s.Kernel.Read(we.FD)
-		if err == nil {
-			ws.base[we.FD] = float64(c.Value)
+	for _, set := range [2][]WideEvent{ws.events, ws.foreign} {
+		for i := range set {
+			if c, err := s.Kernel.Read(set[i].FD); err == nil {
+				set[i].base = float64(c.Value)
+			}
 		}
 	}
 	return ws, nil
@@ -986,11 +987,10 @@ func (ws *wideSet) offlineCPU(s *sim.Machine, cpu int) {
 				continue
 			}
 			if c, err := s.Kernel.Read(we.FD); err == nil {
-				we.carry += float64(c.Value) - ws.base[we.FD]
+				we.carry += float64(c.Value) - we.base
 			}
 			s.Kernel.Close(we.FD)
-			delete(ws.base, we.FD)
-			we.FD, we.Dead = -1, true
+			we.FD, we.Dead, we.base = -1, true, 0
 		}
 	}
 }
@@ -1009,9 +1009,8 @@ func (ws *wideSet) reopenCPU(s *sim.Machine, cpu int) {
 				continue
 			}
 			we.FD, we.Dead = fd, false
-			ws.base[fd] = 0
 			if c, err := s.Kernel.Read(fd); err == nil {
-				ws.base[fd] = float64(c.Value)
+				we.base = float64(c.Value)
 			}
 		}
 	}
@@ -1025,7 +1024,7 @@ func (ws *wideSet) collect(s *sim.Machine) map[string]TypeCounters {
 			// A read can still fail if a fault plan offlined the CPU
 			// behind the harness's back; the carry is all we have then.
 			if c, err := s.Kernel.Read(we.FD); err == nil {
-				v += float64(c.Value) - ws.base[we.FD]
+				v += float64(c.Value) - we.base
 			}
 		}
 		tc := out[we.TypeName]
