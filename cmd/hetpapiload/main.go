@@ -318,7 +318,7 @@ func run(ctx context.Context, cfg config, logw io.Writer) error {
 		defer shutdown()
 	} else {
 		// Remote daemons list their registered collector machines.
-		infos, err := client.New("http://"+addr).Machines(ctx)
+		infos, err := client.New("http://" + addr).Machines(ctx)
 		if err != nil {
 			return fmt.Errorf("discovering machines: %w", err)
 		}

@@ -229,12 +229,23 @@ func (k *Kernel) effectiveCapacity(pmuType uint32) int {
 }
 
 // checkAlive returns ErrNoSuchDevice for descriptors invalidated by
-// CPU hotplug.
+// CPU hotplug. A dead descriptor never revives, so its error is built
+// on the first touch and returned as is after that: audits that keep
+// reading a dead fd every tick allocate nothing.
 func checkAlive(e *Event) error {
 	if e.dead {
-		return fmt.Errorf("%w: fd %d was invalidated by cpu%d going offline", ErrNoSuchDevice, e.fd, e.cpu)
+		return e.deadError()
 	}
 	return nil
+}
+
+// deadError builds and caches a dead descriptor's error. It is kept out
+// of checkAlive so that every live read inlines to one flag test.
+func (e *Event) deadError() error {
+	if e.deadErr == nil {
+		e.deadErr = fmt.Errorf("%w: fd %d was invalidated by cpu%d going offline", ErrNoSuchDevice, e.fd, e.cpu)
+	}
+	return e.deadErr
 }
 
 // ShadowValue returns the count a dedicated, never-multiplexed counter

@@ -3,10 +3,11 @@ package perfevent
 // Tests for the descriptor table: every kind of bad descriptor is EBADF
 // on every entry point, NumOpen and NextDeadline see past the holes that
 // closed descriptors leave, and the per-tick entry points allocate
-// nothing.
+// nothing, on live and on dead descriptors.
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -211,5 +212,48 @@ func TestHotPathsAllocateNothing(t *testing.T) {
 	// ReadGroup is the allocating wrapper: one fresh slice per call.
 	if n := testing.AllocsPerRun(100, func() { _, _ = k.ReadGroup(leader) }); n != 1 {
 		t.Errorf("ReadGroup allocates %.1f times, want 1", n)
+	}
+}
+
+// TestDeadDescriptorErrorsAllocateNothing pins the hotplug error path the
+// counter-monotonic audit takes every tick on a chaos machine: once a
+// descriptor is dead, Read, ReadGroupInto and Enable return its cached
+// ErrNoSuchDevice error, with the same text on every touch.
+func TestDeadDescriptorErrorsAllocateNothing(t *testing.T) {
+	m := hw.RaptorLake()
+	k := NewKernel(m)
+	inst := attrFor(t, m, "adl_glc", "INST_RETIRED", "ANY")
+	fd, err := k.Open(inst, -1, 2, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.SetCPUOnline(2, false)
+	_, first := k.Read(fd)
+	want := fmt.Sprintf("%v: fd %d was invalidated by cpu2 going offline", ErrNoSuchDevice, fd)
+	if !errors.Is(first, ErrNoSuchDevice) || first.Error() != want {
+		t.Fatalf("Read(dead fd) = %v, want %q", first, want)
+	}
+	dst := make([]Count, 0, 2)
+	ops := []struct {
+		name string
+		op   func() error
+	}{
+		{"Read", func() error { _, err := k.Read(fd); return err }},
+		{"ReadGroupInto", func() error { _, err := k.ReadGroupInto(fd, dst); return err }},
+		{"Enable", func() error { return k.Enable(fd) }},
+	}
+	for _, o := range ops {
+		var got error
+		if n := testing.AllocsPerRun(100, func() { got = o.op() }); n != 0 {
+			t.Errorf("%s on a dead fd allocates %.1f times, want 0", o.name, n)
+		}
+		if !errors.Is(got, ErrNoSuchDevice) || got.Error() != want {
+			t.Errorf("%s on a dead fd = %v, want %q", o.name, got, want)
+		}
+	}
+	// Re-onlining the CPU does not revive the descriptor or change its error.
+	k.SetCPUOnline(2, true)
+	if _, err := k.Read(fd); err == nil || err.Error() != want {
+		t.Errorf("Read(dead fd) after re-online = %v, want %q", err, want)
 	}
 }

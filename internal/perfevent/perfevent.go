@@ -154,6 +154,10 @@ type Event struct {
 	// ReadSamples drain (0 = never drained); a change between drains
 	// makes the next drain return a defensive copy.
 	drainRingCap int
+
+	// deadErr is the ErrNoSuchDevice error of a dead descriptor, built
+	// on its first touch (see checkAlive).
+	deadErr error
 }
 
 // FD returns the event's descriptor.

@@ -31,6 +31,16 @@ func Percentile(xs []float64, p float64) float64 {
 	}
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
+	return SortedPercentile(sorted, p)
+}
+
+// SortedPercentile is Percentile over a slice already in ascending
+// order: no copy and no sort, so several percentiles of one sample cost
+// one sort between them.
+func SortedPercentile(sorted []float64, p float64) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
 	if p <= 0 {
 		return sorted[0]
 	}

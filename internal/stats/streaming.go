@@ -160,24 +160,10 @@ func (r *RingQuantile) N() int { return r.n }
 // percentile returns 0 — int(NaN) is platform-defined and would index out
 // of range.
 func (r *RingQuantile) Quantile(p float64) float64 {
-	if r.n == 0 || math.IsNaN(p) {
+	if math.IsNaN(p) {
 		return 0
 	}
-	s := r.sorted
-	if p <= 0 {
-		return s[0]
-	}
-	if p >= 100 {
-		return s[len(s)-1]
-	}
-	rank := p / 100 * float64(len(s)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return s[lo]
-	}
-	frac := rank - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
+	return SortedPercentile(r.sorted, p)
 }
 
 // Window returns the current window contents in insertion order (oldest

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -62,130 +63,129 @@ type FleetQueryResponse struct {
 	Groups   []FleetGroup `json:"groups"`
 }
 
-// seriesWindow is one series' contribution: its key plus the window
-// buckets copied out under the shard read lock.
-type seriesWindow struct {
-	key      Key
-	typeName string
-	kind     string
-	buckets  []RungPoint
-}
-
 // FleetQuery aggregates the selected rung across the whole population.
 //
-// The first pass walks the shards under their read locks and copies out
-// only the rung buckets inside the window — bounded by RungCapacity per
-// series, never the raw rings. The second pass sorts contributions by
-// series key and folds them in that order, so every floating-point
-// accumulation happens in a deterministic sequence: the response is
-// byte-identical no matter how many goroutines wrote the data or how
-// the shard maps iterate.
+// It walks the store's inventory in (machine, series) order. Each
+// matching series' window buckets are copied out under its shard's read
+// lock — bounded by RungCapacity per series, never the raw rings — and
+// folded into the group of its (core type, event kind). So every group
+// folds its members in (machine, series) order, and the groups come out
+// in (type, kind) order: every floating-point accumulation happens in a
+// fixed sequence, and the response is byte-identical no matter how many
+// goroutines wrote the data.
 func (st *Store) FleetQuery(req FleetQueryRequest) (FleetQueryResponse, error) {
 	if req.Rung <= RungRaw || req.Rung >= numRungs {
 		return FleetQueryResponse{}, fmt.Errorf("fleet query needs a downsampled rung (1s, 10s or 1m), got %q", req.Rung)
 	}
-	var wins []seriesWindow
-	for _, sh := range st.shards {
-		sh.mu.RLock()
-		for k, s := range sh.series {
-			typeName, kind, ok := parseEventSeries(k.Series)
-			if !ok {
-				continue
-			}
-			if req.Type != "" && typeName != req.Type {
-				continue
-			}
-			if req.Kind != "" && kind != req.Kind {
-				continue
-			}
-			if req.Machine != "" && !strings.HasPrefix(k.Machine, req.Machine) {
-				continue
-			}
-			buckets := s.rungs[req.Rung-1].appendWindow(req.FromSec, req.ToSec, nil)
-			if len(buckets) == 0 {
-				continue
-			}
-			wins = append(wins, seriesWindow{key: k, typeName: typeName, kind: kind, buckets: buckets})
-		}
-		sh.mu.RUnlock()
-	}
-	if req.Template != "" {
-		filtered := wins[:0]
-		for _, w := range wins {
-			if st.Meta(w.key.Machine).Template == req.Template {
-				filtered = append(filtered, w)
-			}
-		}
-		wins = filtered
-	}
-	sort.Slice(wins, func(i, j int) bool {
-		a, b := wins[i], wins[j]
-		if a.typeName != b.typeName {
-			return a.typeName < b.typeName
-		}
-		if a.kind != b.kind {
-			return a.kind < b.kind
-		}
-		if a.key.Machine != b.key.Machine {
-			return a.key.Machine < b.key.Machine
-		}
-		return a.key.Series < b.key.Series
-	})
-
 	resp := FleetQueryResponse{Rung: req.Rung.String(), FromSec: req.FromSec, ToSec: req.ToSec}
-	allMachines := map[string]bool{}
-	for i := 0; i < len(wins); {
-		j := i
-		for j < len(wins) && wins[j].typeName == wins[i].typeName && wins[j].kind == wins[i].kind {
-			j++
+	accs := map[*eventClass]*groupAcc{}
+	var buf []RungPoint
+	for _, r := range st.machineRows() {
+		if req.Machine != "" && !strings.HasPrefix(r.id, req.Machine) {
+			continue
 		}
-		g := FleetGroup{Type: wins[i].typeName, Kind: wins[i].kind}
-		var w stats.Welford
-		var means []float64
-		machines := map[string]bool{}
-		timeline := map[float64]*stats.Bucket{}
-		var times []float64
-		for _, sw := range wins[i:j] {
-			g.Series++
-			machines[sw.key.Machine] = true
-			allMachines[sw.key.Machine] = true
-			for _, bp := range sw.buckets {
-				g.Buckets++
-				g.Samples += bp.Agg.N
-				g.Merged.Merge(bp.Agg)
-				m := bp.Agg.Mean()
-				w.Add(m)
-				means = append(means, m)
-				if req.Timeline {
-					tb := timeline[bp.TimeSec]
-					if tb == nil {
-						tb = &stats.Bucket{}
-						timeline[bp.TimeSec] = tb
-						times = append(times, bp.TimeSec)
-					}
-					tb.Merge(bp.Agg)
-				}
+		if req.Template != "" && st.Meta(r.id).Template != req.Template {
+			continue
+		}
+		member := false
+		for _, e := range r.list() {
+			c := e.class
+			if c == nil || req.Type != "" && c.typeName != req.Type || req.Kind != "" && c.kind != req.Kind {
+				continue
 			}
-			g.LastSum += sw.buckets[len(sw.buckets)-1].Agg.Last
-		}
-		g.Machines = len(machines)
-		g.Mean = w.Mean()
-		g.Stddev = w.Stddev()
-		g.P50 = stats.Percentile(means, 50)
-		g.P95 = stats.Percentile(means, 95)
-		g.P99 = stats.Percentile(means, 99)
-		if req.Timeline {
-			sort.Float64s(times)
-			g.Timeline = make([]Point, 0, len(times))
-			for _, t := range times {
-				g.Timeline = append(g.Timeline, Point{TimeSec: t, Value: timeline[t].Mean()})
+			e.sh.mu.RLock()
+			buf = e.s.rungs[req.Rung-1].appendWindow(req.FromSec, req.ToSec, buf[:0])
+			e.sh.mu.RUnlock()
+			if len(buf) == 0 {
+				continue
 			}
+			a := accs[c]
+			if a == nil {
+				a = &groupAcc{g: FleetGroup{Type: c.typeName, Kind: c.kind}}
+				accs[c] = a
+			}
+			a.add(r.id, buf, req.Timeline)
+			member = true
 		}
-		resp.Groups = append(resp.Groups, g)
-		i = j
+		if member {
+			resp.Machines++
+		}
 	}
-	resp.Machines = len(allMachines)
+	groups := make([]*groupAcc, 0, len(accs))
+	for _, a := range accs {
+		groups = append(groups, a)
+	}
+	slices.SortFunc(groups, func(a, b *groupAcc) int {
+		if c := strings.Compare(a.g.Type, b.g.Type); c != 0 {
+			return c
+		}
+		return strings.Compare(a.g.Kind, b.g.Kind)
+	})
+	for _, a := range groups {
+		resp.Groups = append(resp.Groups, a.result(req.Timeline))
+	}
 	return resp, nil
+}
+
+// groupAcc folds one FleetGroup's members, in the order they are added.
+type groupAcc struct {
+	g           FleetGroup
+	lastMachine string
+	w           stats.Welford
+	means       []float64
+	timeline    map[float64]*stats.Bucket
+	times       []float64
+}
+
+// add folds one member series' window buckets. Members arrive in machine
+// order, so a new machine id is a new machine of the group.
+func (a *groupAcc) add(machine string, buckets []RungPoint, timeline bool) {
+	if a.g.Series == 0 || machine != a.lastMachine {
+		a.g.Machines++
+		a.lastMachine = machine
+	}
+	a.g.Series++
+	for _, bp := range buckets {
+		a.g.Buckets++
+		a.g.Samples += bp.Agg.N
+		a.g.Merged.Merge(bp.Agg)
+		m := bp.Agg.Mean()
+		a.w.Add(m)
+		a.means = append(a.means, m)
+		if timeline {
+			tb := a.timeline[bp.TimeSec]
+			if tb == nil {
+				if a.timeline == nil {
+					a.timeline = map[float64]*stats.Bucket{}
+				}
+				tb = &stats.Bucket{}
+				a.timeline[bp.TimeSec] = tb
+				a.times = append(a.times, bp.TimeSec)
+			}
+			tb.Merge(bp.Agg)
+		}
+	}
+	a.g.LastSum += buckets[len(buckets)-1].Agg.Last
+}
+
+// result finishes the group: the distribution of its bucket means and,
+// when asked for, its merged timeline.
+func (a *groupAcc) result(timeline bool) FleetGroup {
+	g := a.g
+	g.Mean = a.w.Mean()
+	g.Stddev = a.w.Stddev()
+	sort.Float64s(a.means)
+	g.P50 = stats.SortedPercentile(a.means, 50)
+	g.P95 = stats.SortedPercentile(a.means, 95)
+	g.P99 = stats.SortedPercentile(a.means, 99)
+	if timeline {
+		sort.Float64s(a.times)
+		g.Timeline = make([]Point, 0, len(a.times))
+		for _, t := range a.times {
+			g.Timeline = append(g.Timeline, Point{TimeSec: t, Value: a.timeline[t].Mean()})
+		}
+	}
+	return g
 }
 
 // RungSummary merges every window bucket of one series' rung into a

@@ -23,9 +23,9 @@
 // simulator's spans. Timestamps are wall-clock seconds since the
 // observer started.
 //
-// httpobs imports only internal/stats and internal/spantrace, so the
-// telemetry server (and any other HTTP surface) can embed it without
-// cycles.
+// httpobs imports only internal/stats, internal/spantrace and the
+// exposition writer internal/telemetry/promtext, so the telemetry server
+// (and any other HTTP surface) can embed it without cycles.
 package httpobs
 
 import (
@@ -140,7 +140,7 @@ type endpointStats struct {
 	inSLO    atomic.Uint64 // completed within the latency target of the time
 
 	mu sync.Mutex
-	wf stats.Welford      // latency ms, lifetime
+	wf stats.Welford       // latency ms, lifetime
 	rq *stats.RingQuantile // latency ms, recent window
 }
 

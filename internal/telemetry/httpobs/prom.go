@@ -1,20 +1,10 @@
 package httpobs
 
 import (
-	"fmt"
 	"io"
+
+	"hetpapi/internal/telemetry/promtext"
 )
-
-// promFamily accumulates one exposition family's sample lines, in the
-// same shape the telemetry server uses for its own families.
-type promFamily struct {
-	name, help, kind string
-	lines            []string
-}
-
-func (f *promFamily) add(labels string, v float64) {
-	f.lines = append(f.lines, fmt.Sprintf("%s{%s} %g", f.name, labels, v))
-}
 
 // WritePrometheus appends the hetpapid_http_* families to a /metrics
 // exposition: per-endpoint request/status-class/error counters,
@@ -23,50 +13,44 @@ func (f *promFamily) add(labels string, v float64) {
 // traffic are omitted, keeping the exposition proportional to what the
 // daemon actually served.
 func (o *Obs) WritePrometheus(w io.Writer) {
-	req := &promFamily{name: "hetpapid_http_requests_total", help: "Requests served, by endpoint and status class.", kind: "counter"}
-	errs := &promFamily{name: "hetpapid_http_errors_total", help: "Requests answered with status >= 400, by endpoint.", kind: "counter"}
-	infl := &promFamily{name: "hetpapid_http_in_flight", help: "Requests currently being served, by endpoint.", kind: "gauge"}
-	bin := &promFamily{name: "hetpapid_http_request_bytes_total", help: "Request body bytes received, by endpoint.", kind: "counter"}
-	bout := &promFamily{name: "hetpapid_http_response_bytes_total", help: "Response body bytes written (post-compression), by endpoint.", kind: "counter"}
-	gz := &promFamily{name: "hetpapid_http_gzip_hits_total", help: "Responses served with gzip content-encoding, by endpoint.", kind: "counter"}
-	lat := &promFamily{name: "hetpapid_http_latency_ms", help: "Request latency percentiles over the recent window, by endpoint.", kind: "gauge"}
-	attain := &promFamily{name: "hetpapid_http_slo_attainment_pct", help: "Percentage of requests within the latency SLO target, by endpoint.", kind: "gauge"}
-	burn := &promFamily{name: "hetpapid_http_slo_burn", help: "1 when the endpoint is currently burning a serving objective, by endpoint and kind.", kind: "gauge"}
-	slow := &promFamily{name: "hetpapid_http_slow_requests", help: "Slow requests currently held in the bounded ring.", kind: "gauge"}
-	slowDrop := &promFamily{name: "hetpapid_http_slow_dropped_total", help: "Slow-ring entries dropped by wraparound.", kind: "counter"}
+	req := promtext.Family{Name: "hetpapid_http_requests_total", Help: "Requests served, by endpoint and status class.", Type: "counter"}
+	errs := promtext.Family{Name: "hetpapid_http_errors_total", Help: "Requests answered with status >= 400, by endpoint.", Type: "counter"}
+	infl := promtext.Family{Name: "hetpapid_http_in_flight", Help: "Requests currently being served, by endpoint.", Type: "gauge"}
+	bin := promtext.Family{Name: "hetpapid_http_request_bytes_total", Help: "Request body bytes received, by endpoint.", Type: "counter"}
+	bout := promtext.Family{Name: "hetpapid_http_response_bytes_total", Help: "Response body bytes written (post-compression), by endpoint.", Type: "counter"}
+	gz := promtext.Family{Name: "hetpapid_http_gzip_hits_total", Help: "Responses served with gzip content-encoding, by endpoint.", Type: "counter"}
+	lat := promtext.Family{Name: "hetpapid_http_latency_ms", Help: "Request latency percentiles over the recent window, by endpoint.", Type: "gauge"}
+	attain := promtext.Family{Name: "hetpapid_http_slo_attainment_pct", Help: "Percentage of requests within the latency SLO target, by endpoint.", Type: "gauge"}
+	burn := promtext.Family{Name: "hetpapid_http_slo_burn", Help: "1 when the endpoint is currently burning a serving objective, by endpoint and kind.", Type: "gauge"}
+	slow := promtext.Family{Name: "hetpapid_http_slow_requests", Help: "Slow requests currently held in the bounded ring.", Type: "gauge"}
+	slowDrop := promtext.Family{Name: "hetpapid_http_slow_dropped_total", Help: "Slow-ring entries dropped by wraparound.", Type: "counter"}
 
 	st := o.Report()
 	for _, es := range st.Endpoints {
-		el := fmt.Sprintf("endpoint=%q", es.Endpoint)
+		ep := es.Endpoint
 		for _, class := range classNames {
 			if n, ok := es.StatusClass[class]; ok {
-				req.add(fmt.Sprintf("%s,class=%q", el, class), float64(n))
+				req.Sample(float64(n), "endpoint", ep, "class", class)
 			}
 		}
-		errs.add(el, float64(es.Errors))
-		infl.add(el, float64(es.InFlight))
-		bin.add(el, float64(es.BytesIn))
-		bout.add(el, float64(es.BytesOut))
-		gz.add(el, float64(es.GzipHits))
-		lat.add(el+`,quantile="0.5"`, es.P50Ms)
-		lat.add(el+`,quantile="0.95"`, es.P95Ms)
-		lat.add(el+`,quantile="0.99"`, es.P99Ms)
-		attain.add(el, es.SLO.LatencyAttainPct)
-		burn.add(el+`,kind="latency"`, b2f(es.SLO.LatencyBurn))
-		burn.add(el+`,kind="error"`, b2f(es.SLO.ErrorBurn))
+		errs.Sample(float64(es.Errors), "endpoint", ep)
+		infl.Sample(float64(es.InFlight), "endpoint", ep)
+		bin.Sample(float64(es.BytesIn), "endpoint", ep)
+		bout.Sample(float64(es.BytesOut), "endpoint", ep)
+		gz.Sample(float64(es.GzipHits), "endpoint", ep)
+		lat.Sample(es.P50Ms, "endpoint", ep, "quantile", "0.5")
+		lat.Sample(es.P95Ms, "endpoint", ep, "quantile", "0.95")
+		lat.Sample(es.P99Ms, "endpoint", ep, "quantile", "0.99")
+		attain.Sample(es.SLO.LatencyAttainPct, "endpoint", ep)
+		burn.Sample(b2f(es.SLO.LatencyBurn), "endpoint", ep, "kind", "latency")
+		burn.Sample(b2f(es.SLO.ErrorBurn), "endpoint", ep, "kind", "error")
 	}
-	slow.add(`ring="slow"`, float64(len(st.SlowRequests)))
-	slowDrop.add(`ring="slow"`, float64(st.SlowDropped))
+	slow.Sample(float64(len(st.SlowRequests)), "ring", "slow")
+	slowDrop.Sample(float64(st.SlowDropped), "ring", "slow")
 
-	for _, f := range []*promFamily{req, errs, infl, bin, bout, gz, lat, attain, burn, slow, slowDrop} {
-		if len(f.lines) == 0 {
-			continue
-		}
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.kind)
-		for _, line := range f.lines {
-			fmt.Fprintln(w, line)
-		}
-	}
+	// Like the rest of a /metrics response, a failed write has no one to
+	// report to.
+	_ = promtext.Write(w, &req, &errs, &infl, &bin, &bout, &gz, &lat, &attain, &burn, &slow, &slowDrop)
 }
 
 func b2f(b bool) float64 {

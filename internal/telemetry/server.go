@@ -15,6 +15,7 @@ import (
 	"hetpapi/internal/profile"
 	"hetpapi/internal/spantrace"
 	"hetpapi/internal/telemetry/httpobs"
+	"hetpapi/internal/telemetry/promtext"
 	"hetpapi/internal/validate"
 )
 
@@ -344,17 +345,14 @@ func (s *Server) knownMachine(name string) bool {
 	s.mu.RLock()
 	_, ok := s.machines[name]
 	s.mu.RUnlock()
-	if ok {
-		return true
-	}
-	return len(s.store.SeriesOf(name)) > 0
+	return ok || s.store.row(name) != nil
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
 	nm := len(s.machines)
 	s.mu.RUnlock()
-	if n := len(s.store.Machines()); n > nm {
+	if n := len(s.store.machineRows()); n > nm {
 		nm = n
 	}
 	writeJSON(w, http.StatusOK, HealthInfo{
@@ -398,12 +396,14 @@ func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown machine %q", machine)
 		return
 	}
-	names := s.store.SeriesOf(machine)
-	out := make([]SeriesInfo, 0, len(names))
-	for _, name := range names {
-		k := Key{machine, name}
-		agg, _ := s.store.Aggregate(k)
-		out = append(out, SeriesInfo{Name: name, Points: s.store.Len(k), Agg: agg})
+	var list []seriesRef
+	if row := s.store.row(machine); row != nil {
+		list = row.list()
+	}
+	out := make([]SeriesInfo, 0, len(list))
+	for _, e := range list {
+		agg, points := e.summary()
+		out = append(out, SeriesInfo{Name: e.name, Points: points, Agg: agg})
 	}
 	writeJSON(w, http.StatusOK, out)
 }
@@ -518,7 +518,8 @@ func (s *Server) handleDegradations(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	out := []DegradationInfo{}
-	for _, machine := range s.store.Machines() {
+	for _, row := range s.store.machineRows() {
+		machine := row.id
 		if filter != "" && machine != filter {
 			continue
 		}
@@ -526,14 +527,11 @@ func (s *Server) handleDegradations(w http.ResponseWriter, r *http.Request) {
 		finals := map[string]float64{}
 		bounds := map[string]float64{}
 		var events []string
-		for _, name := range s.store.SeriesOf(machine) {
-			agg, ok := s.store.Aggregate(Key{machine, name})
-			if !ok {
-				continue
-			}
+		for _, e := range row.list() {
+			name := e.name
 			switch {
 			case strings.HasPrefix(name, "degradation/"):
-				info.Counters[strings.TrimPrefix(name, "degradation/")] = agg.Last
+				info.Counters[strings.TrimPrefix(name, "degradation/")] = e.last()
 			case strings.HasPrefix(name, "measure/"):
 				parts := strings.Split(name, "/")
 				if len(parts) != 3 {
@@ -541,10 +539,10 @@ func (s *Server) handleDegradations(w http.ResponseWriter, r *http.Request) {
 				}
 				switch parts[2] {
 				case "final":
-					finals[parts[1]] = agg.Last
+					finals[parts[1]] = e.last()
 					events = append(events, parts[1])
 				case "error_bound":
-					bounds[parts[1]] = agg.Last
+					bounds[parts[1]] = e.last()
 				}
 			}
 		}
@@ -698,60 +696,45 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// metricFamily accumulates one exposition family's sample lines.
-type metricFamily struct {
-	name, help, kind string
-	lines            []string
-}
-
-func (f *metricFamily) add(labels string, v float64) {
-	f.lines = append(f.lines, fmt.Sprintf("%s{%s} %g", f.name, labels, v))
-}
-
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	freq := &metricFamily{name: "hetpapi_cpu_frequency_mhz", help: "Per-CPU frequency during the last tick.", kind: "gauge"}
-	temp := &metricFamily{name: "hetpapi_pkg_temperature_celsius", help: "Package thermal zone temperature.", kind: "gauge"}
-	pwr := &metricFamily{name: "hetpapi_pkg_power_watts", help: "Package power over the last tick.", kind: "gauge"}
-	wall := &metricFamily{name: "hetpapi_wall_power_watts", help: "AC-side wall meter power.", kind: "gauge"}
-	energy := &metricFamily{name: "hetpapi_pkg_energy_joules_total", help: "Cumulative RAPL package energy.", kind: "counter"}
-	ctr := &metricFamily{name: "hetpapi_counter_total", help: "System-wide perf counter value per CPU, core type and event kind.", kind: "counter"}
-	degr := &metricFamily{name: "hetpapi_degradation_total", help: "Graceful-degradation actions performed by the measurement probe, by action.", kind: "counter"}
-	ticks := &metricFamily{name: "hetpapid_ticks_total", help: "Simulator ticks observed by the collector.", kind: "counter"}
-	runs := &metricFamily{name: "hetpapid_runs_total", help: "Completed scenario runs.", kind: "counter"}
-	ingest := &metricFamily{name: "hetpapid_ingest_seconds_total", help: "Wall-clock seconds spent in telemetry ingestion.", kind: "counter"}
-	ovhTick := &metricFamily{name: "hetpapid_overhead_per_tick_seconds", help: "Mean ingestion wall time per simulator tick.", kind: "gauge"}
-	ovhRatio := &metricFamily{name: "hetpapid_overhead_ratio", help: "Ingestion wall time as a fraction of the run loop wall time.", kind: "gauge"}
-	spEmit := &metricFamily{name: "hetpapid_spans_emitted_total", help: "Span-trace events accepted by the machine's recorder.", kind: "counter"}
-	spKeep := &metricFamily{name: "hetpapid_spans_retained", help: "Span-trace events currently held in the recorder's rings.", kind: "gauge"}
-	spDrop := &metricFamily{name: "hetpapid_spans_dropped_total", help: "Span-trace events dropped by ring wraparound or rejected as malformed.", kind: "counter"}
-	pfEmit := &metricFamily{name: "hetpapiprof_samples_emitted_total", help: "Overflow sample records retained by the machine's statistical profiler.", kind: "counter"}
-	pfLost := &metricFamily{name: "hetpapiprof_samples_lost_total", help: "Overflow sample records dropped by ring pressure before a drain.", kind: "counter"}
+	freq := promtext.Family{Name: "hetpapi_cpu_frequency_mhz", Help: "Per-CPU frequency during the last tick.", Type: "gauge"}
+	temp := promtext.Family{Name: "hetpapi_pkg_temperature_celsius", Help: "Package thermal zone temperature.", Type: "gauge"}
+	pwr := promtext.Family{Name: "hetpapi_pkg_power_watts", Help: "Package power over the last tick.", Type: "gauge"}
+	wall := promtext.Family{Name: "hetpapi_wall_power_watts", Help: "AC-side wall meter power.", Type: "gauge"}
+	energy := promtext.Family{Name: "hetpapi_pkg_energy_joules_total", Help: "Cumulative RAPL package energy.", Type: "counter"}
+	ctr := promtext.Family{Name: "hetpapi_counter_total", Help: "System-wide perf counter value per CPU, core type and event kind.", Type: "counter"}
+	degr := promtext.Family{Name: "hetpapi_degradation_total", Help: "Graceful-degradation actions performed by the measurement probe, by action.", Type: "counter"}
+	ticks := promtext.Family{Name: "hetpapid_ticks_total", Help: "Simulator ticks observed by the collector.", Type: "counter"}
+	runs := promtext.Family{Name: "hetpapid_runs_total", Help: "Completed scenario runs.", Type: "counter"}
+	ingest := promtext.Family{Name: "hetpapid_ingest_seconds_total", Help: "Wall-clock seconds spent in telemetry ingestion.", Type: "counter"}
+	ovhTick := promtext.Family{Name: "hetpapid_overhead_per_tick_seconds", Help: "Mean ingestion wall time per simulator tick.", Type: "gauge"}
+	ovhRatio := promtext.Family{Name: "hetpapid_overhead_ratio", Help: "Ingestion wall time as a fraction of the run loop wall time.", Type: "gauge"}
+	spEmit := promtext.Family{Name: "hetpapid_spans_emitted_total", Help: "Span-trace events accepted by the machine's recorder.", Type: "counter"}
+	spKeep := promtext.Family{Name: "hetpapid_spans_retained", Help: "Span-trace events currently held in the recorder's rings.", Type: "gauge"}
+	spDrop := promtext.Family{Name: "hetpapid_spans_dropped_total", Help: "Span-trace events dropped by ring wraparound or rejected as malformed.", Type: "counter"}
+	pfEmit := promtext.Family{Name: "hetpapiprof_samples_emitted_total", Help: "Overflow sample records retained by the machine's statistical profiler.", Type: "counter"}
+	pfLost := promtext.Family{Name: "hetpapiprof_samples_lost_total", Help: "Overflow sample records dropped by ring pressure before a drain.", Type: "counter"}
 
-	for _, machine := range s.store.Machines() {
-		ml := fmt.Sprintf("machine=%q", machine)
-		for _, name := range s.store.SeriesOf(machine) {
-			agg, ok := s.store.Aggregate(Key{machine, name})
-			if !ok {
-				continue
-			}
+	for _, row := range s.store.machineRows() {
+		m := row.id
+		for _, e := range row.list() {
+			name := e.name
 			switch {
 			case strings.HasPrefix(name, "cpu") && strings.HasSuffix(name, "_mhz"):
-				cpu := strings.TrimSuffix(strings.TrimPrefix(name, "cpu"), "_mhz")
-				freq.add(fmt.Sprintf("%s,cpu=%q", ml, cpu), agg.Last)
+				freq.Sample(e.last(), "machine", m, "cpu", strings.TrimSuffix(strings.TrimPrefix(name, "cpu"), "_mhz"))
 			case name == "temp_c":
-				temp.add(ml, agg.Last)
+				temp.Sample(e.last(), "machine", m)
 			case name == "power_w":
-				pwr.add(ml, agg.Last)
+				pwr.Sample(e.last(), "machine", m)
 			case name == "wall_w":
-				wall.add(ml, agg.Last)
+				wall.Sample(e.last(), "machine", m)
 			case name == "energy_j":
-				energy.add(ml, agg.Last)
+				energy.Sample(e.last(), "machine", m)
 			case strings.HasPrefix(name, "degradation/"):
-				degr.add(fmt.Sprintf("%s,action=%q", ml, strings.TrimPrefix(name, "degradation/")), agg.Last)
-			default:
-				if cpu, typeName, kind, ok := parseCounterSeries(name); ok {
-					ctr.add(fmt.Sprintf("%s,cpu=%q,type=%q,kind=%q", ml, cpu, typeName, kind), agg.Last)
-				}
+				degr.Sample(e.last(), "machine", m, "action", strings.TrimPrefix(name, "degradation/"))
+			case e.counter:
+				cpu, typeName, kind, _ := parseCounterSeries(name)
+				ctr.Sample(e.last(), "machine", m, "cpu", cpu, "type", typeName, "kind", kind)
 			}
 		}
 	}
@@ -764,35 +747,27 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	sort.Strings(names)
 	for _, name := range names {
 		e := s.machines[name]
-		ml := fmt.Sprintf("machine=%q", name)
-		ticks.add(ml, float64(e.col.Ticks()))
-		runs.add(ml, float64(e.col.Runs()))
-		ingest.add(ml, e.col.IngestSec())
-		ovhTick.add(ml, e.col.OverheadPerTickSec())
-		ovhRatio.add(ml, e.col.OverheadRatio())
+		ticks.Sample(float64(e.col.Ticks()), "machine", name)
+		runs.Sample(float64(e.col.Runs()), "machine", name)
+		ingest.Sample(e.col.IngestSec(), "machine", name)
+		ovhTick.Sample(e.col.OverheadPerTickSec(), "machine", name)
+		ovhRatio.Sample(e.col.OverheadRatio(), "machine", name)
 		if rec := e.recorder(); rec != nil {
 			st := rec.Stats()
-			spEmit.add(ml, float64(st.Emitted))
-			spKeep.add(ml, float64(st.Retained))
-			spDrop.add(ml, float64(st.Dropped))
+			spEmit.Sample(float64(st.Emitted), "machine", name)
+			spKeep.Sample(float64(st.Retained), "machine", name)
+			spDrop.Sample(float64(st.Dropped), "machine", name)
 		}
 		if col := e.profiler(); col != nil {
-			pfEmit.add(ml, float64(col.EmittedTotal()))
-			pfLost.add(ml, float64(col.LostTotal()))
+			pfEmit.Sample(float64(col.EmittedTotal()), "machine", name)
+			pfLost.Sample(float64(col.LostTotal()), "machine", name)
 		}
 	}
 	s.mu.RUnlock()
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	for _, f := range []*metricFamily{freq, temp, pwr, wall, energy, ctr, degr, ticks, runs, ingest, ovhTick, ovhRatio, spEmit, spKeep, spDrop, pfEmit, pfLost} {
-		if len(f.lines) == 0 {
-			continue
-		}
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.kind)
-		for _, line := range f.lines {
-			fmt.Fprintln(w, line)
-		}
-	}
+	// A failed write means the client is gone; there is no one to tell.
+	_ = promtext.Write(w, &freq, &temp, &pwr, &wall, &energy, &ctr, &degr, &ticks, &runs, &ingest, &ovhTick, &ovhRatio, &spEmit, &spKeep, &spDrop, &pfEmit, &pfLost)
 	// The serving path's own families (hetpapid_http_*).
 	s.obs.WritePrometheus(w)
 }

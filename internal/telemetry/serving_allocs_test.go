@@ -1,0 +1,97 @@
+package telemetry_test
+
+import (
+	"context"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"hetpapi/internal/fleet"
+	"hetpapi/internal/telemetry"
+)
+
+// raceEnabled is set by race_test.go under the race detector.
+var raceEnabled bool
+
+// rigServer streams a seeded 12-machine fleet into a store, the way the
+// hetpapiload in-process rig builds its daemon, and serves it through
+// the composed handler. Built once per test binary.
+var rigServer = sync.OnceValues(func() (http.Handler, error) {
+	f, err := fleet.Generate(fleet.GenConfig{Machines: 12, Seed: 1, StaggerSec: 0.2})
+	if err != nil {
+		return nil, err
+	}
+	st := telemetry.NewStore(telemetry.Config{Capacity: 4096, Shards: 8})
+	if _, err := fleet.Run(context.Background(), f, fleet.RunConfig{Streamer: fleet.NewStreamer(st, 0)}); err != nil {
+		return nil, err
+	}
+	return telemetry.NewServer(st, 5*time.Second).Handler(), nil
+})
+
+// perRequest serves target n times and returns the mean allocations and
+// bytes allocated per request, request and recorder included, measured
+// like testing.AllocsPerRun: one warm-up call, GOMAXPROCS 1.
+func perRequest(t *testing.T, h http.Handler, target string, n int) (allocs, bytes float64) {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	serve := func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", target, rec.Code, rec.Body.Bytes())
+		}
+	}
+	serve()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		serve()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(n), float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+}
+
+// TestServingAllocationCeilings bounds what one request allocates on the
+// 12-machine rig. The store families of /metrics cost nothing per line,
+// and the inventory-shaped reads (/health, /query, /series) copy and sort
+// nothing; a regression on either shows up as allocations. The figures
+// in the comments below are go1.24.0's; net/http's own allocations,
+// which every figure includes, can move between Go releases.
+func TestServingAllocationCeilings(t *testing.T) {
+	if testing.Short() {
+		t.Skip("streams a 12-machine fleet")
+	}
+	if raceEnabled {
+		t.Skip("the race detector drops pooled buffers")
+	}
+	h, err := rigServer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		target    string
+		maxAllocs float64
+		maxBytes  float64
+	}{
+		// The former writer took /metrics to 960 allocations and 304 KB;
+		// the ceiling is a third of its allocations and a fifth of its bytes.
+		{"/metrics", 317, 60 << 10},
+		// The rest sit at what the inventory alone gave them (the scan and
+		// sort of every key took 54, 64 and 83 allocations).
+		{"/health", 39, 8 << 10},
+		{"/query?machine=m0000&series=power_w&agg=1", 48, 10 << 10},
+		{"/series?machine=m0000", 51, 24 << 10},
+	} {
+		allocs, bytes := perRequest(t, h, c.target, 50)
+		t.Logf("%s: %.0f allocations, %.1f KB per request", c.target, allocs, bytes/1024)
+		if allocs > c.maxAllocs {
+			t.Errorf("%s allocates %.0f times per request, ceiling %.0f", c.target, allocs, c.maxAllocs)
+		}
+		if bytes > c.maxBytes {
+			t.Errorf("%s allocates %.1f KB per request, ceiling %.1f KB", c.target, bytes/1024, c.maxBytes/1024)
+		}
+	}
+}

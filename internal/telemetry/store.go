@@ -11,10 +11,18 @@
 // contend only when they hash to the same shard. The write path takes one
 // shard's write lock for O(1) work per sample; the read path takes the
 // shard's read lock only long enough to copy points out ("copy-on-read"),
-// so queries never hold a lock while marshalling or aggregating. Rings
-// grow lazily up to their configured capacity, so a fleet of thousands of
-// short-lived machines pays for the points it stores, not for the
-// capacity it reserves.
+// so queries never hold a lock while marshalling or aggregating. The raw
+// and rung rings grow lazily up to their configured capacity, so those
+// cost only the points they store. The percentile window does not: every
+// series reserves its full window and sorted view when it is created,
+// about 66 KB at the default capacity, whatever it holds (ROADMAP item
+// 1(a)).
+//
+// Inventory: beside the shards the store keeps a sorted inventory of its
+// series, each machine's series in name order, with every series'
+// population classification worked out once at creation. Keys, Machines,
+// SeriesOf, FleetQuery, TypeAggregates and the HTTP handlers read it
+// instead of scanning and sorting the shard maps on every request.
 //
 // Aggregates are streaming: every series maintains a Welford
 // mean/variance over its whole lifetime and a RingQuantile window for
@@ -35,6 +43,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -197,7 +206,42 @@ type Store struct {
 
 	metaMu sync.RWMutex
 	meta   map[string]MachineMeta
+
+	// The series inventory (see seriesRef). Readers load the published
+	// rows and lists without locking. Append inserts under invMu while
+	// it holds the new series' shard write lock, so the lock order is
+	// shard, then invMu, and no reader takes invMu.
+	invMu   sync.Mutex
+	rows    atomic.Pointer[[]*machineRow]
+	nSeries atomic.Int64
+	classes map[eventClass]*eventClass // guarded by invMu
 }
+
+// seriesRef is one inventory entry: a series' name, its population
+// classification (worked out when the series is created) and where it
+// lives. The series is guarded by sh.mu.
+type seriesRef struct {
+	name    string
+	class   *eventClass // parseEventSeries' (type, kind); nil outside the population view
+	counter bool        // a per-CPU counter, cpu<N>/<type>/<kind>
+	s       *series
+	sh      *shard
+}
+
+// eventClass is one (core type, event kind) pair of the population
+// view. The store keeps one per pair, shared by every series of it, so
+// queries can group series by pointer.
+type eventClass struct{ typeName, kind string }
+
+// machineRow is one machine's inventory row. Its series list, in name
+// order, is never changed once published: creating a series publishes a
+// new list, copying only this machine's entries.
+type machineRow struct {
+	id     string
+	series atomic.Pointer[[]seriesRef]
+}
+
+func (r *machineRow) list() []seriesRef { return *r.series.Load() }
 
 // MachineMeta tags one machine id with fleet metadata, letting
 // population queries group by template without parsing machine ids.
@@ -213,6 +257,7 @@ func NewStore(cfg Config) *Store {
 	for i := range st.shards {
 		st.shards[i] = &shard{series: map[Key]*series{}}
 	}
+	st.rows.Store(&[]*machineRow{})
 	return st
 }
 
@@ -271,6 +316,7 @@ func (st *Store) Append(k Key, timeSec, value float64) {
 			}
 		}
 		sh.series[k] = s
+		st.addToInventory(k, s, sh)
 	}
 	s.agg.Add(value)
 	s.win.Add(value)
@@ -422,60 +468,112 @@ func aggregateOf(w *stats.Welford, win *stats.RingQuantile) Aggregate {
 	}
 }
 
+// addToInventory records a series Append has just created. The caller
+// holds the series' shard write lock.
+func (st *Store) addToInventory(k Key, s *series, sh *shard) {
+	ref := seriesRef{name: k.Series, s: s, sh: sh}
+	_, _, _, ref.counter = parseCounterSeries(k.Series)
+	st.invMu.Lock()
+	defer st.invMu.Unlock()
+	if typeName, kind, ok := parseEventSeries(k.Series); ok {
+		c := eventClass{typeName, kind}
+		if ref.class = st.classes[c]; ref.class == nil {
+			if st.classes == nil {
+				st.classes = map[eventClass]*eventClass{}
+			}
+			ref.class = &c
+			st.classes[c] = ref.class
+		}
+	}
+	rows := st.machineRows()
+	i, found := rowIndex(rows, k.Machine)
+	if found {
+		old := rows[i].list()
+		j, _ := slices.BinarySearchFunc(old, k.Series, func(e seriesRef, name string) int {
+			return strings.Compare(e.name, name)
+		})
+		list := slices.Insert(slices.Clip(old), j, ref)
+		rows[i].series.Store(&list)
+	} else {
+		r := &machineRow{id: k.Machine}
+		r.series.Store(&[]seriesRef{ref})
+		next := slices.Insert(slices.Clip(rows), i, r)
+		st.rows.Store(&next)
+	}
+	st.nSeries.Add(1)
+}
+
+// last returns the series' latest sample.
+func (e seriesRef) last() float64 {
+	e.sh.mu.RLock()
+	defer e.sh.mu.RUnlock()
+	return e.s.agg.Last()
+}
+
+// summary returns the series' aggregate and stored point count, read
+// together.
+func (e seriesRef) summary() (Aggregate, int) {
+	e.sh.mu.RLock()
+	defer e.sh.mu.RUnlock()
+	return aggregateOf(&e.s.agg, e.s.win), e.s.raw.len()
+}
+
+// machineRows returns the published inventory rows, in machine id order.
+func (st *Store) machineRows() []*machineRow { return *st.rows.Load() }
+
+// rowIndex finds a machine's row, or where it would go, in rows.
+func rowIndex(rows []*machineRow, machine string) (int, bool) {
+	return slices.BinarySearchFunc(rows, machine, func(r *machineRow, id string) int {
+		return strings.Compare(r.id, id)
+	})
+}
+
+// row returns one machine's inventory row, nil when it has no series.
+func (st *Store) row(machine string) *machineRow {
+	rows := st.machineRows()
+	if i, found := rowIndex(rows, machine); found {
+		return rows[i]
+	}
+	return nil
+}
+
 // Keys returns every series key, sorted by machine then series name.
 func (st *Store) Keys() []Key {
 	var out []Key
-	for _, sh := range st.shards {
-		sh.mu.RLock()
-		for k := range sh.series {
-			out = append(out, k)
+	for _, r := range st.machineRows() {
+		for _, e := range r.list() {
+			out = append(out, Key{r.id, e.name})
 		}
-		sh.mu.RUnlock()
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Machine != out[j].Machine {
-			return out[i].Machine < out[j].Machine
-		}
-		return out[i].Series < out[j].Series
-	})
 	return out
 }
 
 // Machines returns the distinct machine ids present, sorted.
 func (st *Store) Machines() []string {
-	seen := map[string]bool{}
-	for _, k := range st.Keys() {
-		seen[k.Machine] = true
+	rows := st.machineRows()
+	out := make([]string, len(rows))
+	for i, r := range rows {
+		out[i] = r.id
 	}
-	out := make([]string, 0, len(seen))
-	for m := range seen {
-		out = append(out, m)
-	}
-	sort.Strings(out)
 	return out
 }
 
 // SeriesOf returns the sorted series names of one machine.
 func (st *Store) SeriesOf(machine string) []string {
-	var out []string
-	for _, k := range st.Keys() {
-		if k.Machine == machine {
-			out = append(out, k.Series)
-		}
+	r := st.row(machine)
+	if r == nil {
+		return nil
+	}
+	list := r.list()
+	out := make([]string, len(list))
+	for i, e := range list {
+		out[i] = e.name
 	}
 	return out
 }
 
 // NumSeries returns the total series count.
-func (st *Store) NumSeries() int {
-	n := 0
-	for _, sh := range st.shards {
-		sh.mu.RLock()
-		n += len(sh.series)
-		sh.mu.RUnlock()
-	}
-	return n
-}
+func (st *Store) NumSeries() int { return int(st.nSeries.Load()) }
 
 // CounterSeriesName is the naming convention for per-core counter series:
 // cpu<N>/<core-type>/<kind>, e.g. "cpu3/P-core/instructions".
@@ -505,11 +603,12 @@ func DegradationSeriesName(counter string) string {
 
 // parseCounterSeries splits a counter series name into its parts.
 func parseCounterSeries(name string) (cpu, typeName, kind string, ok bool) {
-	parts := strings.Split(name, "/")
-	if len(parts) != 3 || !strings.HasPrefix(parts[0], "cpu") {
+	cpu, rest, ok1 := strings.Cut(name, "/")
+	typeName, kind, ok2 := strings.Cut(rest, "/")
+	if !ok1 || !ok2 || strings.Contains(kind, "/") || !strings.HasPrefix(cpu, "cpu") {
 		return "", "", "", false
 	}
-	return strings.TrimPrefix(parts[0], "cpu"), parts[1], parts[2], true
+	return strings.TrimPrefix(cpu, "cpu"), typeName, kind, true
 }
 
 // parseEventSeries classifies a series name for population grouping:
@@ -540,11 +639,14 @@ func parseEventSeries(name string) (typeName, kind string, ok bool) {
 
 // TypeAggregates groups one machine's counter series of the given kind
 // ("instructions", "cycles", "llc-refs", "llc-misses") by core type and
-// returns one merged aggregate per type: Welford accumulators are merged
-// exactly (the per-core-type mean/stddev of the per-sample values),
-// LastSum is the sum of each member's last value (the system-wide per-type
-// counter total, since the series carry cumulative counts), and
-// percentiles are computed over the members' combined recent windows.
+// returns one merged aggregate per type, in type name order: Welford
+// accumulators are merged exactly (the per-core-type mean/stddev of the
+// per-sample values), LastSum is the sum of each member's last value (the
+// system-wide per-type counter total, since the series carry cumulative
+// counts), and percentiles are computed over the members' combined
+// recent windows. Members are merged in series name order ("cpu10/..."
+// before "cpu2/..."), so the floating-point sums, and Last (the last
+// member's), do not depend on how the store was fed.
 func (st *Store) TypeAggregates(machine, kind string) []TypeAggregate {
 	type group struct {
 		n       int
@@ -553,27 +655,23 @@ func (st *Store) TypeAggregates(machine, kind string) []TypeAggregate {
 		lastSum float64
 	}
 	groups := map[string]*group{}
-	for _, sh := range st.shards {
-		sh.mu.RLock()
-		for k, s := range sh.series {
-			if k.Machine != machine {
+	if r := st.row(machine); r != nil {
+		for _, e := range r.list() {
+			if !e.counter || e.class.kind != kind {
 				continue
 			}
-			_, typeName, kd, ok := parseCounterSeries(k.Series)
-			if !ok || kd != kind {
-				continue
-			}
-			g := groups[typeName]
+			g := groups[e.class.typeName]
 			if g == nil {
 				g = &group{}
-				groups[typeName] = g
+				groups[e.class.typeName] = g
 			}
 			g.n++
-			g.w.Merge(s.agg)
-			g.window = append(g.window, s.win.Window()...)
-			g.lastSum += s.agg.Last()
+			e.sh.mu.RLock()
+			g.w.Merge(e.s.agg)
+			g.window = append(g.window, e.s.win.Window()...)
+			g.lastSum += e.s.agg.Last()
+			e.sh.mu.RUnlock()
 		}
-		sh.mu.RUnlock()
 	}
 	names := make([]string, 0, len(groups))
 	for name := range groups {
