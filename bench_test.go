@@ -14,7 +14,6 @@ package hetpapi
 // simulated machine time; the printed tables appear once.
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -26,7 +25,6 @@ import (
 	"hetpapi/internal/core"
 	"hetpapi/internal/events"
 	"hetpapi/internal/exp"
-	"hetpapi/internal/fleet"
 	"hetpapi/internal/hw"
 	"hetpapi/internal/perfevent"
 	"hetpapi/internal/pfmlib"
@@ -533,8 +531,8 @@ func BenchmarkAblationSchedulerPreference(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Telemetry serving-layer benchmarks: the first entries of the perf
-// trajectory for the internal/telemetry store behind hetpapid.
+// Telemetry serving-layer benchmarks: the internal/telemetry store
+// behind hetpapid.
 
 // BenchmarkTelemetryIngest measures parallel samples/sec into the sharded
 // store, 1 shard vs 8, each writer goroutine feeding its own series (the
@@ -636,82 +634,6 @@ func BenchmarkTelemetryQueryUnderLoad(b *testing.B) {
 	}
 	close(stop)
 	writers.Wait()
-}
-
-// BenchmarkFleetIngest is the headline streaming-observability
-// benchmark behind BENCH_9.json: telemetry points ingested per second
-// through the fleet streamer's population shape — many machines each
-// appending machine scalars and per-core-type counter series into one
-// shared sharded store, every point folding through the full
-// raw+1s+10s+1m rung hierarchy and the lifetime aggregates at ingest.
-// ns/point and allocs/point come from the standard bench accounting
-// (one iteration = one point).
-func BenchmarkFleetIngest(b *testing.B) {
-	for _, machines := range []int{16, 256} {
-		b.Run(fmt.Sprintf("machines=%d", machines), func(b *testing.B) {
-			st := telemetry.NewStore(telemetry.Config{Capacity: 512, RungCapacity: 512})
-			series := []string{
-				"power_w", "energy_j", "temp_c", "wall_w",
-				telemetry.TypeSeriesName("P-core", "instructions"),
-				telemetry.TypeSeriesName("P-core", "cycles"),
-				telemetry.TypeSeriesName("E-core", "instructions"),
-				telemetry.TypeSeriesName("E-core", "cycles"),
-			}
-			keys := make([]telemetry.Key, 0, machines*len(series))
-			for m := 0; m < machines; m++ {
-				id := fmt.Sprintf("m%04d", m)
-				st.SetMeta(id, telemetry.MachineMeta{Template: "bench", Model: "homogeneous"})
-				for _, s := range series {
-					keys = append(keys, telemetry.Key{Machine: id, Series: s})
-				}
-			}
-			var next atomic.Int64
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				// Each goroutine owns a disjoint slice of series — the
-				// fleet's one-writer-per-series discipline.
-				off := int(next.Add(1)-1) * 31
-				i := 0
-				for pb.Next() {
-					k := keys[(off+i)%len(keys)]
-					st.Append(k, float64(i)/4, float64(i))
-					i++
-				}
-			})
-			b.StopTimer()
-			if wall := b.Elapsed().Seconds(); wall > 0 {
-				b.ReportMetric(float64(b.N)/wall, "points/s")
-			}
-		})
-	}
-	// The end-to-end shape: a real fleet run with the streamer hooked
-	// in, reporting the streamer's own self-measured cost.
-	b.Run("streamed-fleet", func(b *testing.B) {
-		var points, ingestNs int64
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			f, err := fleet.Generate(fleet.GenConfig{
-				Machines: 64, Seed: int64(i) + 1, StaggerSec: 0.5,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			st := telemetry.NewStore(telemetry.Config{Capacity: 512, RungCapacity: 512})
-			rc := fleet.RunConfig{Streamer: fleet.NewStreamer(st, 0)}
-			if _, err := fleet.Run(context.Background(), f, rc); err != nil {
-				b.Fatal(err)
-			}
-			o := rc.Streamer.SelfOverhead()
-			points += o.Points
-			ingestNs += int64(o.IngestSec * 1e9)
-		}
-		b.StopTimer()
-		if points > 0 {
-			b.ReportMetric(float64(ingestNs)/float64(points), "ns/point")
-			b.ReportMetric(float64(points)/float64(b.N), "points/run")
-		}
-	})
 }
 
 // BenchmarkEnergyTable measures energy-to-solution for every Table II
@@ -958,181 +880,4 @@ func BenchmarkSpantraceEmit(b *testing.B) {
 				spantrace.Str("class", "performance"))
 		}
 	})
-}
-
-// simThroughputCase builds one machine+workload configuration for
-// BenchmarkSimThroughput. rebuild reports whether the current machine's
-// workload has run out and a fresh one is needed to stay in steady state.
-type simThroughputCase struct {
-	name    string
-	build   func() *sim.Machine
-	rebuild func(*sim.Machine) bool
-}
-
-func simThroughputCases() []simThroughputCase {
-	buildHPL := func() *sim.Machine {
-		s := sim.New(hw.RaptorLake(), sim.DefaultConfig())
-		h, err := workload.NewHPL(workload.HPLConfig{
-			N: 57024, NB: 192, Threads: 16, Strategy: workload.IntelMKL(), Seed: 1,
-		})
-		if err != nil {
-			panic(err)
-		}
-		for i, task := range h.Threads() {
-			s.Spawn(task, hw.NewCPUSet(hw.RaptorLake().FirstCPUPerCore()[i]))
-		}
-		return s
-	}
-	idle := func(mk func() *hw.Machine) func() *sim.Machine {
-		return func() *sim.Machine {
-			s := sim.New(mk(), sim.DefaultConfig())
-			// Start warm so the settle span does real cooling work.
-			s.Thermal.SetTempC(s.Thermal.Spec().AmbientC + 20)
-			return s
-		}
-	}
-	return []simThroughputCase{
-		{
-			// The reference busy case: full 16-thread HPL on the hybrid
-			// Raptor Lake, every tick doing per-CPU work. This is the
-			// ratio the BENCH trajectory gates on.
-			name:  "hpl-pcores",
-			build: buildHPL,
-			rebuild: func(s *sim.Machine) bool {
-				return s.Sched.Quiescent() // HPL finished and was reaped
-			},
-		},
-		{
-			// The settle protocol: an idle Raptor Lake cooling between
-			// runs — the span the event core batches hardest.
-			name:    "settle-idle",
-			build:   idle(hw.RaptorLake),
-			rebuild: func(*sim.Machine) bool { return false },
-		},
-		{
-			// The big.LITTLE board idle: small core count, idle-heavy.
-			name:    "biglittle-idle",
-			build:   idle(hw.OrangePi800),
-			rebuild: func(*sim.Machine) bool { return false },
-		},
-	}
-}
-
-// BenchmarkFleetThroughput is the headline fleet benchmark behind
-// BENCH_7.json: total simulated machine-seconds completed per
-// wall-clock second when a whole generated fleet — default template
-// mix, staggered cold-starts, chaos plans on a quarter of the machines
-// — runs on the bounded worker pool. Each iteration generates and runs
-// a fresh fleet with a distinct seed so steady-state throughput, not a
-// warmed cache, is what's measured.
-func BenchmarkFleetThroughput(b *testing.B) {
-	for _, n := range []int{64, 256} {
-		b.Run(fmt.Sprintf("machines=%d", n), func(b *testing.B) {
-			var simSec float64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				f, err := fleet.Generate(fleet.GenConfig{
-					Machines:   n,
-					Seed:       int64(i) + 1,
-					StaggerSec: 0.5,
-					Chaos:      &fleet.ChaosConfig{IncidentRate: 0.25},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				rep, err := fleet.Run(context.Background(), f, fleet.RunConfig{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if rep.Completed != n {
-					b.Fatalf("%d/%d machines completed", rep.Completed, n)
-				}
-				simSec += rep.MachineSimSec
-			}
-			b.StopTimer()
-			if wall := b.Elapsed().Seconds(); wall > 0 {
-				b.ReportMetric(simSec/wall, "machine-sim-s/wall-s")
-			}
-		})
-	}
-}
-
-// BenchmarkSimThroughput is the headline single-machine simulator
-// benchmark: simulated seconds advanced per wall-clock second (the
-// "sim-s/wall-s" metric) on each reference shape. BENCH_6.json commits
-// the event-vs-legacy-tick trajectory recorded before the tick loop was
-// deleted; the recorded figures remain the gate TestBenchTrajectory
-// enforces.
-func BenchmarkSimThroughput(b *testing.B) {
-	for _, tc := range simThroughputCases() {
-		b.Run(tc.name+"/event", func(b *testing.B) {
-			s := tc.build()
-			tick := s.Tick()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if tc.rebuild(s) {
-					b.StopTimer()
-					s = tc.build()
-					b.StartTimer()
-				}
-				s.Step()
-			}
-			b.StopTimer()
-			if wall := b.Elapsed().Seconds(); wall > 0 {
-				b.ReportMetric(float64(b.N)*tick/wall, "sim-s/wall-s")
-			}
-		})
-	}
-}
-
-// httpObsBenchServer builds a telemetry server over a store seeded with
-// enough points that /query does representative marshalling work.
-func httpObsBenchServer() *telemetry.Server {
-	st := telemetry.NewStore(telemetry.Config{Capacity: 1024})
-	for i := 0; i < 512; i++ {
-		st.Append(telemetry.Key{Machine: "mach", Series: "power_w"}, float64(i), 40+float64(i%7))
-	}
-	return telemetry.NewServer(st, 0)
-}
-
-// httpObsNs drives GET requests straight into the handler (no network)
-// and returns ns per request.
-func httpObsNs(b *testing.B, h http.Handler, target string) float64 {
-	req := httptest.NewRequest(http.MethodGet, target, nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
-		if rec.Code != http.StatusOK {
-			b.Fatalf("status %d", rec.Code)
-		}
-	}
-	b.StopTimer()
-	return float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-}
-
-// BenchmarkHTTPObsOverhead measures what the serving-path observer adds
-// to a request: the same telemetry server driven bare
-// (UninstrumentedHandler) and instrumented (Handler, the production
-// composition). The instrumented/bare ratio is reported as a benchmark
-// metric and gated at <= 1.05x by the recorded overhead_ratio in
-// BENCH_10.json, mirroring the spantrace/profiler overhead discipline.
-func BenchmarkHTTPObsOverhead(b *testing.B) {
-	const target = "/query?machine=mach&series=power_w&agg=1"
-	var bareNs, instNs float64
-	b.Run("bare", func(b *testing.B) {
-		bareNs = httpObsNs(b, httpObsBenchServer().UninstrumentedHandler(), target)
-	})
-	b.Run("instrumented", func(b *testing.B) {
-		instNs = httpObsNs(b, httpObsBenchServer().Handler(), target)
-		if bareNs > 0 {
-			b.ReportMetric(instNs/bareNs, "x-bare")
-		}
-	})
-	if bareNs > 0 && printHeader(b, "httpobs-ovh", "Serving-path observer overhead", "") {
-		fmt.Printf("request ns: bare %.0f, instrumented %.0f\n", bareNs, instNs)
-		fmt.Printf("instrumented/bare %.3f (acceptance: <= 1.05)\n", instNs/bareNs)
-	}
 }

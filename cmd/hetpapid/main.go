@@ -182,13 +182,8 @@ func main() {
 
 // resolveSpecs maps the -scenarios flag to reference specs.
 func resolveSpecs(names string) ([]scenario.Spec, error) {
-	all := scenario.Reference()
 	if names == "all" {
-		return all, nil
-	}
-	byName := map[string]scenario.Spec{}
-	for _, spec := range all {
-		byName[spec.Name] = spec
+		return scenario.Reference(), nil
 	}
 	var out []scenario.Spec
 	for _, name := range strings.Split(names, ",") {
@@ -196,9 +191,9 @@ func resolveSpecs(names string) ([]scenario.Spec, error) {
 		if name == "" {
 			continue
 		}
-		spec, ok := byName[name]
-		if !ok {
-			return nil, fmt.Errorf("unknown scenario %q (known: %s)", name, strings.Join(knownNames(all), ", "))
+		spec, err := scenario.Lookup(name)
+		if err != nil {
+			return nil, err
 		}
 		out = append(out, spec)
 	}

@@ -22,11 +22,9 @@
 // client number includes scheduling delay and loopback I/O, so it
 // upper-bounds the server's handler-side view).
 //
-// With -o the run's figures are written in the BENCH_10.json trajectory
-// schema (qps, p50_ms, p99_ms, error_pct, allocs_per_op) with the
-// -min-qps / -max-p99-ms gates recorded; the same gates are enforced on
-// the run itself, so a CI load-smoke step fails when the serving path
-// regresses.
+// The -min-qps and -max-p99-ms gates are enforced on the run itself, and
+// any failed request fails it too, so a CI load-smoke step fails when
+// the serving path regresses.
 //
 // Usage:
 //
@@ -34,13 +32,11 @@
 //	            [-mix query=30,series=20,fleet=15,metrics=15,status=10,health=10]
 //	            [-gzip 0.5] [-seed 1] [-fleet-n 12]
 //	            [-min-qps Q] [-max-p99-ms MS]
-//	            [-agree-factor 3] [-agree-slack-ms 25]
-//	            [-o BENCH_10.json] [-quiet]
+//	            [-agree-factor 3] [-agree-slack-ms 25] [-quiet]
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -56,6 +52,7 @@ import (
 	"time"
 
 	"hetpapi/internal/fleet"
+	"hetpapi/internal/stats"
 	"hetpapi/internal/telemetry"
 	"hetpapi/internal/telemetry/client"
 	"hetpapi/internal/telemetry/httpobs"
@@ -76,7 +73,6 @@ type config struct {
 	agreeFac   float64
 	agreeSlack float64
 
-	out   string
 	quiet bool
 }
 
@@ -95,11 +91,10 @@ func main() {
 	flag.Float64Var(&cfg.maxP99Ms, "max-p99-ms", 0, "fail the run if client-side p99 exceeds this (0 disables)")
 	flag.Float64Var(&cfg.agreeFac, "agree-factor", 3, "client/server p99 agreement factor")
 	flag.Float64Var(&cfg.agreeSlack, "agree-slack-ms", 25, "client/server p99 agreement slack in ms")
-	flag.StringVar(&cfg.out, "o", "", "write the run's figures as a BENCH trajectory JSON file")
 	flag.BoolVar(&cfg.quiet, "quiet", false, "suppress the per-endpoint breakdown")
 	flag.Parse()
 
-	if err := run(context.Background(), cfg, os.Stdout); err != nil {
+	if _, err := run(context.Background(), cfg, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "hetpapiload:", err)
 		os.Exit(1)
 	}
@@ -224,14 +219,6 @@ type epStats struct {
 	errors int
 }
 
-func quantile(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(p / 100 * float64(len(sorted)-1))
-	return sorted[idx]
-}
-
 // startInProcess builds the in-process rig: run a seeded fleet to
 // stream a realistic population into a store, then serve the real
 // composed handler on a loopback listener.
@@ -264,63 +251,45 @@ func startInProcess(ctx context.Context, cfg config, logw io.Writer) (addr strin
 	return ln.Addr().String(), machines, func() { srv.Close() }, nil
 }
 
-// servingCase is the BENCH trajectory schema for one load run; the
-// field names match what bench_trajectory_test.go validates and gates.
-type servingCase struct {
-	Machines    int     `json:"machines"`
-	Requests    int     `json:"requests"`
-	RatePerSec  float64 `json:"rate_per_s"`
-	Workers     int     `json:"workers"`
-	QPS         float64 `json:"qps"`
-	P50Ms       float64 `json:"p50_ms"`
-	P95Ms       float64 `json:"p95_ms"`
-	P99Ms       float64 `json:"p99_ms"`
-	MaxMs       float64 `json:"max_ms"`
-	ErrorPct    float64 `json:"error_pct"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
+// summary is the client-side view of one load run.
+type summary struct {
+	Machines    int
+	Requests    int
+	Workers     int
+	QPS         float64
+	P50Ms       float64
+	P95Ms       float64
+	P99Ms       float64
+	MaxMs       float64
+	ErrorPct    float64
+	AllocsPerOp float64
 	// ServerP99Ms is the worst per-endpoint p99 the daemon's own /status
 	// reported for the run; P99AgreeMs is the largest (server - client)
 	// per-endpoint p99 gap, negative when the client view upper-bounds
 	// the server view everywhere (the expected steady state).
-	ServerP99Ms float64 `json:"server_p99_ms"`
-	P99AgreeMs  float64 `json:"p99_agree_ms"`
-	// OverheadRatio is BenchmarkHTTPObsOverhead's instrumented/bare
-	// request cost, merged into the committed trajectory file by hand
-	// (the harness leaves it zero).
-	OverheadRatio float64 `json:"overhead_ratio,omitempty"`
+	ServerP99Ms float64
+	P99AgreeMs  float64
 }
 
-type benchOut struct {
-	ID        string                 `json:"id"`
-	Benchmark string                 `json:"benchmark"`
-	Metric    string                 `json:"metric"`
-	Cases     map[string]servingCase `json:"cases"`
-	Gate      struct {
-		Case             string  `json:"case"`
-		MinQPS           float64 `json:"min_qps"`
-		MaxP99Ms         float64 `json:"max_p99_ms"`
-		MaxOverheadRatio float64 `json:"max_overhead_ratio,omitempty"`
-	} `json:"gate"`
-}
-
-func run(ctx context.Context, cfg config, logw io.Writer) error {
-	caseName := "remote-mix"
+// run drives one load run and returns its summary. It fails when the
+// rig cannot start, the load is cancelled, the self-validation fails or
+// a gate is missed; the summary is filled in once the load completed.
+func run(ctx context.Context, cfg config, logw io.Writer) (summary, error) {
 	var machines []string
 	addr := cfg.addr
 	if addr == "" {
-		caseName = "inprocess-mix"
 		var shutdown func()
 		var err error
 		addr, machines, shutdown, err = startInProcess(ctx, cfg, logw)
 		if err != nil {
-			return err
+			return summary{}, err
 		}
 		defer shutdown()
 	} else {
 		// Remote daemons list their registered collector machines.
 		infos, err := client.New("http://" + addr).Machines(ctx)
 		if err != nil {
-			return fmt.Errorf("discovering machines: %w", err)
+			return summary{}, fmt.Errorf("discovering machines: %w", err)
 		}
 		for _, m := range infos {
 			machines = append(machines, m.Name)
@@ -329,7 +298,7 @@ func run(ctx context.Context, cfg config, logw io.Writer) error {
 
 	jobs, err := buildSchedule(cfg, machines)
 	if err != nil {
-		return err
+		return summary{}, err
 	}
 	base := "http://" + addr
 
@@ -403,7 +372,7 @@ func run(ctx context.Context, cfg config, logw io.Writer) error {
 		case <-ctx.Done():
 			close(jobCh)
 			wg.Wait()
-			return ctx.Err()
+			return summary{}, ctx.Err()
 		case jobCh <- j:
 		}
 	}
@@ -431,15 +400,14 @@ func run(ctx context.Context, cfg config, logw io.Writer) error {
 		}
 	}
 	sort.Float64s(allMs)
-	sc := servingCase{
+	sc := summary{
 		Machines:    len(machines),
 		Requests:    int(ridx),
-		RatePerSec:  cfg.rate,
 		Workers:     workers,
 		QPS:         float64(ridx) / elapsed.Seconds(),
-		P50Ms:       quantile(allMs, 50),
-		P95Ms:       quantile(allMs, 95),
-		P99Ms:       quantile(allMs, 99),
+		P50Ms:       stats.SortedPercentile(allMs, 50),
+		P95Ms:       stats.SortedPercentile(allMs, 95),
+		P99Ms:       stats.SortedPercentile(allMs, 99),
 		ErrorPct:    100 * float64(errors) / float64(ridx),
 		AllocsPerOp: float64(ms1.Mallocs-ms0.Mallocs) / float64(ridx),
 	}
@@ -450,7 +418,7 @@ func run(ctx context.Context, cfg config, logw io.Writer) error {
 	// Self-validation against the server's own /status view.
 	status, err := client.New(base).Status(ctx)
 	if err != nil {
-		return fmt.Errorf("fetching /status for self-validation: %w", err)
+		return sc, fmt.Errorf("fetching /status for self-validation: %w", err)
 	}
 	serverEp := map[string]httpobs.EndpointStatus{}
 	for _, es := range status.Endpoints {
@@ -461,22 +429,22 @@ func run(ctx context.Context, cfg config, logw io.Writer) error {
 	for name, es := range perEp {
 		srv, ok := serverEp[name]
 		if !ok {
-			return fmt.Errorf("self-validation: endpoint %s missing from server /status", name)
+			return sc, fmt.Errorf("self-validation: endpoint %s missing from server /status", name)
 		}
 		if cfg.addr == "" && srv.Requests != uint64(len(es.latMs)) {
-			return fmt.Errorf("self-validation: %s: server counted %d requests, client sent %d",
+			return sc, fmt.Errorf("self-validation: %s: server counted %d requests, client sent %d",
 				name, srv.Requests, len(es.latMs))
 		}
 		if srv.P99Ms > sc.ServerP99Ms {
 			sc.ServerP99Ms = srv.P99Ms
 		}
 		sort.Float64s(es.latMs)
-		clientP99 := quantile(es.latMs, 99)
+		clientP99 := stats.SortedPercentile(es.latMs, 99)
 		if gap := srv.P99Ms - clientP99; first || gap > agree {
 			agree, first = gap, false
 		}
 		if srv.P99Ms > clientP99*cfg.agreeFac+cfg.agreeSlack {
-			return fmt.Errorf("self-validation: %s: server p99 %.2fms outside the agreement bound (client p99 %.2fms, factor %g, slack %gms)",
+			return sc, fmt.Errorf("self-validation: %s: server p99 %.2fms outside the agreement bound (client p99 %.2fms, factor %g, slack %gms)",
 				name, srv.P99Ms, clientP99, cfg.agreeFac, cfg.agreeSlack)
 		}
 	}
@@ -495,39 +463,18 @@ func run(ctx context.Context, cfg config, logw io.Writer) error {
 		for _, name := range names {
 			es := perEp[name]
 			fmt.Fprintf(logw, "hetpapiload:   %-14s %6d req  p50 %8.2fms  p99 %8.2fms  err %d\n",
-				name, len(es.latMs), quantile(es.latMs, 50), quantile(es.latMs, 99), es.errors)
+				name, len(es.latMs), stats.SortedPercentile(es.latMs, 50), stats.SortedPercentile(es.latMs, 99), es.errors)
 		}
 	}
 
-	if cfg.out != "" {
-		out := benchOut{
-			ID:        "pr10-serving",
-			Benchmark: "hetpapiload",
-			Metric:    "qps / p50_ms / p99_ms / error_pct / allocs_per_op",
-			Cases:     map[string]servingCase{caseName: sc},
-		}
-		out.Gate.Case = caseName
-		out.Gate.MinQPS = cfg.minQPS
-		out.Gate.MaxP99Ms = cfg.maxP99Ms
-		blob, err := json.MarshalIndent(out, "", " ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(cfg.out, append(blob, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(logw, "hetpapiload: wrote %s\n", cfg.out)
-	}
-
-	// Gates: the same floors the trajectory file commits.
 	if cfg.minQPS > 0 && sc.QPS < cfg.minQPS {
-		return fmt.Errorf("gate: %.0f qps below the %.0f floor", sc.QPS, cfg.minQPS)
+		return sc, fmt.Errorf("gate: %.0f qps below the %.0f floor", sc.QPS, cfg.minQPS)
 	}
 	if cfg.maxP99Ms > 0 && sc.P99Ms > cfg.maxP99Ms {
-		return fmt.Errorf("gate: p99 %.2fms above the %.0fms ceiling", sc.P99Ms, cfg.maxP99Ms)
+		return sc, fmt.Errorf("gate: p99 %.2fms above the %.0fms ceiling", sc.P99Ms, cfg.maxP99Ms)
 	}
 	if sc.ErrorPct > 0 {
-		return fmt.Errorf("gate: %.2f%% of requests failed", sc.ErrorPct)
+		return sc, fmt.Errorf("gate: %.2f%% of requests failed", sc.ErrorPct)
 	}
-	return nil
+	return sc, nil
 }

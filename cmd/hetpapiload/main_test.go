@@ -3,9 +3,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -81,23 +78,9 @@ func TestBuildScheduleNeedsMachines(t *testing.T) {
 	}
 }
 
-func TestQuantile(t *testing.T) {
-	sorted := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	if got := quantile(sorted, 50); got != 5 {
-		t.Fatalf("p50 = %v, want 5", got)
-	}
-	if got := quantile(sorted, 99); got != 9 {
-		t.Fatalf("p99 = %v, want 9", got)
-	}
-	if got := quantile(nil, 50); got != 0 {
-		t.Fatalf("empty p50 = %v, want 0", got)
-	}
-}
-
 // TestRunInProcess drives the whole harness — seeded fleet rig, open-loop
-// load, /status self-validation, gates, JSON emission — end to end.
+// load, /status self-validation, gates — end to end.
 func TestRunInProcess(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "bench.json")
 	cfg := config{
 		duration: 500 * time.Millisecond,
 		rate:     200,
@@ -109,28 +92,16 @@ func TestRunInProcess(t *testing.T) {
 		minQPS:   50,
 		maxP99Ms: 1000,
 		agreeFac: 3, agreeSlack: 25,
-		out: out,
 	}
 	var log bytes.Buffer
-	if err := run(context.Background(), cfg, &log); err != nil {
+	sc, err := run(context.Background(), cfg, &log)
+	if err != nil {
 		t.Fatalf("run: %v\nlog:\n%s", err, log.String())
 	}
-	for _, want := range []string{"qps", "server view", "/query", "wrote "} {
+	for _, want := range []string{"qps", "server view", "/query"} {
 		if !strings.Contains(log.String(), want) {
 			t.Errorf("log missing %q:\n%s", want, log.String())
 		}
-	}
-	blob, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatalf("reading %s: %v", out, err)
-	}
-	var got benchOut
-	if err := json.Unmarshal(blob, &got); err != nil {
-		t.Fatalf("bench JSON: %v", err)
-	}
-	sc, ok := got.Cases["inprocess-mix"]
-	if !ok {
-		t.Fatalf("bench JSON missing inprocess-mix case: %s", blob)
 	}
 	if sc.Requests != 100 {
 		t.Errorf("requests = %d, want 100 (rate*duration)", sc.Requests)
@@ -142,16 +113,13 @@ func TestRunInProcess(t *testing.T) {
 		t.Errorf("qps = %v below the %v gate the run claimed to pass", sc.QPS, cfg.minQPS)
 	}
 	if sc.ErrorPct != 0 {
-		t.Errorf("error_pct = %v, want 0", sc.ErrorPct)
+		t.Errorf("ErrorPct = %v, want 0", sc.ErrorPct)
 	}
 	if !(sc.P50Ms > 0 && sc.P50Ms <= sc.P99Ms && sc.P99Ms <= sc.MaxMs) {
 		t.Errorf("quantiles disordered: p50 %v p99 %v max %v", sc.P50Ms, sc.P99Ms, sc.MaxMs)
 	}
 	if sc.AllocsPerOp <= 0 {
-		t.Errorf("allocs_per_op = %v, want > 0", sc.AllocsPerOp)
-	}
-	if got.Gate.Case != "inprocess-mix" || got.Gate.MinQPS != 50 || got.Gate.MaxP99Ms != 1000 {
-		t.Errorf("gate = %+v, want inprocess-mix/50/1000", got.Gate)
+		t.Errorf("AllocsPerOp = %v, want > 0", sc.AllocsPerOp)
 	}
 }
 
@@ -169,7 +137,7 @@ func TestRunGateViolation(t *testing.T) {
 		agreeFac: 3, agreeSlack: 25,
 	}
 	var log bytes.Buffer
-	err := run(context.Background(), cfg, &log)
+	_, err := run(context.Background(), cfg, &log)
 	if err == nil || !strings.Contains(err.Error(), "gate") {
 		t.Fatalf("run with unreachable qps gate: err = %v, want gate violation", err)
 	}

@@ -82,7 +82,10 @@ func cmdRecord(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	spec, err := findScenario(*name)
+	if *name == "" {
+		return fmt.Errorf("missing -scenario (see hetpapiprof list)")
+	}
+	spec, err := scenario.Lookup(*name)
 	if err != nil {
 		return err
 	}
@@ -230,16 +233,4 @@ func loadProfile(path string) (*profile.Profile, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return p, nil
-}
-
-func findScenario(name string) (scenario.Spec, error) {
-	if name == "" {
-		return scenario.Spec{}, fmt.Errorf("missing -scenario (see hetpapiprof list)")
-	}
-	for _, spec := range scenario.Reference() {
-		if spec.Name == name {
-			return spec, nil
-		}
-	}
-	return scenario.Spec{}, fmt.Errorf("unknown scenario %q (see hetpapiprof list)", name)
 }

@@ -76,7 +76,10 @@ func cmdRecord(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	spec, err := findScenario(*name)
+	if *name == "" {
+		return fmt.Errorf("missing -scenario (see hetpapitrace list)")
+	}
+	spec, err := scenario.Lookup(*name)
 	if err != nil {
 		return err
 	}
@@ -164,16 +167,4 @@ func loadReport(path string) (*analyze.Report, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return analyze.Analyze(t), nil
-}
-
-func findScenario(name string) (scenario.Spec, error) {
-	if name == "" {
-		return scenario.Spec{}, fmt.Errorf("missing -scenario (see hetpapitrace list)")
-	}
-	for _, spec := range scenario.Reference() {
-		if spec.Name == name {
-			return spec, nil
-		}
-	}
-	return scenario.Spec{}, fmt.Errorf("unknown scenario %q (see hetpapitrace list)", name)
 }

@@ -150,14 +150,9 @@ func hotplugRebuild() {
 // showing the same machinery surviving faults inside the harness.
 func auditedScenario() {
 	fmt.Println("4. Audited fault scenario: biglittle-hotplug (counter steal + CPU cycle)")
-	var spec scenario.Spec
-	for _, s := range scenario.Reference() {
-		if s.Name == "biglittle-hotplug" {
-			spec = s
-		}
-	}
-	if spec.Name == "" {
-		log.Fatal("reference scenario biglittle-hotplug not found")
+	spec, err := scenario.Lookup("biglittle-hotplug")
+	if err != nil {
+		log.Fatal(err)
 	}
 	res, err := scenario.Run(spec)
 	if err != nil {

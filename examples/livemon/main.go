@@ -27,14 +27,9 @@ func main() {
 	store := telemetry.NewStore(telemetry.Config{Capacity: 4096, Downsample: 4})
 	api := telemetry.NewServer(store, 5*time.Second)
 
-	spec := scenario.Spec{}
-	for _, s := range scenario.Reference() {
-		if s.Name == "dimensity-mixed-injects" {
-			spec = s
-		}
-	}
-	if spec.Name == "" {
-		log.Fatal("reference scenario dimensity-mixed-injects not found")
+	spec, err := scenario.Lookup("dimensity-mixed-injects")
+	if err != nil {
+		log.Fatal(err)
 	}
 	col := telemetry.NewCollector(store, spec.Name, 1)
 	api.Register(spec.Name, spec.Name, spec.Machine, col)

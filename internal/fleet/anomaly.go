@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"hetpapi/internal/stats"
 	"hetpapi/internal/telemetry"
 )
 
@@ -63,21 +64,6 @@ func (a Anomaly) String() string {
 // call for a population that agrees exactly.
 func robustScore(x, median, mad float64) float64 {
 	return math.Abs(x-median) / (1.4826*mad + 1e-12)
-}
-
-// medianOf returns the median of xs (sorted copy; mean of middle pair
-// for even n). Empty input returns 0.
-func medianOf(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	m := len(s) / 2
-	if len(s)%2 == 1 {
-		return s[m]
-	}
-	return (s[m-1] + s[m]) / 2
 }
 
 // DetectAnomalies scores every machine's streamed rung summaries
@@ -153,12 +139,12 @@ func DetectAnomalies(store *telemetry.Store, f *Fleet, cfg AnomalyConfig) []Anom
 			if len(values) < cfg.MinMachines {
 				continue
 			}
-			med := medianOf(values)
+			med := stats.Median(values)
 			devs := make([]float64, len(values))
 			for i, v := range values {
 				devs[i] = math.Abs(v - med)
 			}
-			mad := medianOf(devs)
+			mad := stats.Median(devs)
 			for i, v := range values {
 				if score := robustScore(v, med, mad); score > cfg.Threshold {
 					out = append(out, scored{members[i], Anomaly{

@@ -1,6 +1,9 @@
 package scenario
 
 import (
+	"fmt"
+	"strings"
+
 	"hetpapi/internal/hw"
 	"hetpapi/internal/workload"
 )
@@ -155,4 +158,18 @@ func Reference() []Spec {
 			},
 		},
 	}
+}
+
+// Lookup returns the reference scenario with the given name. Its error
+// names every known scenario.
+func Lookup(name string) (Spec, error) {
+	all := Reference()
+	names := make([]string, len(all))
+	for i, spec := range all {
+		if spec.Name == name {
+			return spec, nil
+		}
+		names[i] = spec.Name
+	}
+	return Spec{}, fmt.Errorf("unknown scenario %q (known: %s)", name, strings.Join(names, ", "))
 }

@@ -14,6 +14,7 @@ package sched
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"sort"
 
@@ -366,8 +367,13 @@ func (s *Scheduler) balance(now float64) {
 	}
 }
 
+// pickCPUOfClass returns the lowest free, online CPU of the class in the
+// mask, or -1. It walks the mask's bits in place: this runs on the
+// migration perturbation of every busy tick, where mask.IDs() would
+// allocate.
 func (s *Scheduler) pickCPUOfClass(mask hw.CPUSet, class hw.CoreClass) int {
-	for _, cpu := range mask.IDs() {
+	for v := uint64(mask); v != 0; v &= v - 1 {
+		cpu := bits.TrailingZeros64(v)
 		if cpu < len(s.byCPU) && s.byCPU[cpu] == nil && !s.offline[cpu] && s.m.TypeOf(cpu).Class == class {
 			return cpu
 		}

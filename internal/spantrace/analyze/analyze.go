@@ -17,6 +17,7 @@ import (
 	"strings"
 
 	"hetpapi/internal/spantrace"
+	"hetpapi/internal/stats"
 )
 
 // Trace is a parsed trace document.
@@ -232,7 +233,8 @@ func Analyze(t *Trace) *Report {
 			}
 			if ns, ok := fnum(ev.Args, "wall_ns"); ok && ns >= 0 {
 				latency[op] = append(latency[op], ns)
-				st.Buckets[log2Bucket(ns)]++
+				// 64 buckets hold every uint64, so none is clamped.
+				st.Buckets[stats.Log2Bucket(uint64(ns), 64)]++
 			}
 		case "degrade":
 			rep.Degradations[strings.TrimPrefix(ev.Name, "degrade.")]++
@@ -257,14 +259,6 @@ func Analyze(t *Trace) *Report {
 	}
 	rep.Critical = criticalPath(byPid, pidTask, pidMigrations)
 	return rep
-}
-
-// log2Bucket returns floor(log2(ns)) clamped at 0.
-func log2Bucket(ns float64) int {
-	if ns < 1 {
-		return 0
-	}
-	return int(math.Floor(math.Log2(ns)))
 }
 
 func finishSyscallStats(st *SyscallStats, ns []float64) {

@@ -5,6 +5,7 @@ package stats
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -132,4 +133,14 @@ func PctChange(a, b float64) float64 {
 		return 0
 	}
 	return (b - a) / a * 100
+}
+
+// Log2Bucket returns x's power-of-two histogram bucket: floor(log2 x),
+// 0 for x < 1, clamped to n-1. It is a function rather than a histogram
+// type because its callers keep their counts in different shapes.
+func Log2Bucket(x uint64, n int) int {
+	if x < 1 {
+		return 0
+	}
+	return min(63-bits.LeadingZeros64(x), n-1)
 }

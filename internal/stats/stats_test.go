@@ -47,6 +47,22 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
+func TestLog2Bucket(t *testing.T) {
+	for _, c := range []struct {
+		x    uint64
+		n    int
+		want int
+	}{
+		{0, 40, 0}, {1, 40, 0}, {2, 40, 1}, {3, 40, 1}, {1024, 40, 10},
+		{2_000_000, 40, 20}, {1 << 39, 40, 39}, {1 << 62, 40, 39},
+		{1 << 63, 64, 63}, {math.MaxUint64, 64, 63},
+	} {
+		if got := Log2Bucket(c.x, c.n); got != c.want {
+			t.Errorf("Log2Bucket(%d, %d) = %d, want %d", c.x, c.n, got, c.want)
+		}
+	}
+}
+
 func TestStddev(t *testing.T) {
 	if !almost(Stddev([]float64{2, 4, 4, 4, 5, 5, 7, 9}), 2) {
 		t.Errorf("stddev = %g, want 2", Stddev([]float64{2, 4, 4, 4, 5, 5, 7, 9}))

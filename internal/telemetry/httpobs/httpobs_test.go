@@ -417,18 +417,3 @@ func TestConcurrentTraffic(t *testing.T) {
 		t.Fatalf("status does not marshal: %v", err)
 	}
 }
-
-func TestLog2Bucket(t *testing.T) {
-	cases := []struct {
-		ns   int64
-		want int
-	}{
-		{-5, 0}, {0, 0}, {1, 0}, {2, 1}, {3, 1}, {1024, 10},
-		{2_000_000, 20}, {1 << 39, numBuckets - 1}, {1 << 62, numBuckets - 1},
-	}
-	for _, c := range cases {
-		if got := log2Bucket(c.ns); got != c.want {
-			t.Errorf("log2Bucket(%d) = %d, want %d", c.ns, got, c.want)
-		}
-	}
-}

@@ -222,13 +222,12 @@ func (s *Server) SetScorecard(card *validate.Scorecard) {
 // series-heavy endpoints (/series, /query, /fleet/query) negotiate
 // gzip compression.
 func (s *Server) Handler() http.Handler {
-	return s.obs.Middleware(s.UninstrumentedHandler())
+	return s.obs.Middleware(s.bareHandler())
 }
 
-// UninstrumentedHandler is Handler without the request observer — the
-// bare serving chain. BenchmarkHTTPObsOverhead compares the two to
-// gate the middleware's cost; production callers want Handler.
-func (s *Server) UninstrumentedHandler() http.Handler {
+// bareHandler is Handler without the request observer: the method
+// guard, the timeout and the mux.
+func (s *Server) bareHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/health", s.handleHealth)
 	mux.HandleFunc("/validate", s.handleValidate)

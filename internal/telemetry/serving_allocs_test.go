@@ -95,3 +95,28 @@ func TestServingAllocationCeilings(t *testing.T) {
 		}
 	}
 }
+
+// TestObserverAllocations bounds what the request observer adds to a
+// request: the composed Handler against the same chain without it. It
+// counts allocations rather than timing the two, so it cannot flake on a
+// busy host. /metrics is left out, because there the observer adds the
+// hetpapid_http_* families to the body: output, not overhead.
+func TestObserverAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled buffers")
+	}
+	st := telemetry.NewStore(telemetry.Config{Capacity: 1024})
+	for i := 0; i < 512; i++ {
+		st.Append(telemetry.Key{Machine: "mach", Series: "power_w"}, float64(i), 40+float64(i%7))
+	}
+	srv := telemetry.NewServer(st, 0)
+	bare, observed := srv.BareHandler(), srv.Handler()
+	for _, target := range []string{"/query?machine=mach&series=power_w&agg=1", "/health"} {
+		b, _ := perRequest(t, bare, target, 2000)
+		o, _ := perRequest(t, observed, target, 2000)
+		t.Logf("%s: %.2f allocations per request bare, %.2f observed", target, b, o)
+		if o-b > 0.5 {
+			t.Errorf("%s: the observer adds %.2f allocations per request, want at most 0.5", target, o-b)
+		}
+	}
+}
