@@ -152,7 +152,7 @@ func (k *Kernel) SetCPUOnline(cpu int, online bool) {
 	} else {
 		k.faults.offline[cpu] = true
 		for _, e := range k.byCPU[cpu] {
-			e.dead = true
+			e.kill()
 			dead++
 		}
 	}

@@ -118,8 +118,12 @@ type Event struct {
 	timeRunning float64
 	// shadow is the simulator-only oracle counter: what a dedicated,
 	// never-multiplexed counter would have counted (see ShadowValue).
-	shadow  float64
-	scale   float64
+	shadow float64
+	scale  float64
+	// seq is the update sequence Seq reports: 1 at Open, bumped by every
+	// write to value or dead (see credit, zero and kill) and, for enabled
+	// energy events, by every Advance.
+	seq     uint64
 	kind    events.Kind
 	pmuType uint32
 	enabled bool
@@ -171,6 +175,26 @@ func (e *Event) PMUType() uint32 { return e.pmuType }
 
 // Name returns the canonical decoded event name.
 func (e *Event) Name() string { return e.name }
+
+// credit adds d to the event's count. It, zero and kill are the only
+// writers of value and dead, and each bumps seq, so that Seq changes
+// whenever a Read could.
+func (e *Event) credit(d float64) {
+	e.value += d
+	e.seq++
+}
+
+// zero clears the event's count (PERF_EVENT_IOC_RESET).
+func (e *Event) zero() {
+	e.value = 0
+	e.seq++
+}
+
+// kill invalidates the descriptor: its CPU went offline.
+func (e *Event) kill() {
+	e.dead = true
+	e.seq++
+}
 
 // group returns the event and its siblings (leader first). The slice is
 // the event's own; callers must not modify it.
@@ -404,6 +428,7 @@ func (k *Kernel) Open(attr Attr, pid, cpu, groupFD int) (fd int, err error) {
 	}
 
 	e := &Event{
+		seq:          1,
 		attr:         attr,
 		pid:          pid,
 		cpu:          cpu,
@@ -581,7 +606,7 @@ func (k *Kernel) Reset(fd int) (err error) {
 		return err
 	}
 	for _, ev := range e.group() {
-		ev.value = 0
+		ev.zero()
 		k.snapshotEnergy(ev)
 	}
 	return nil
@@ -603,6 +628,32 @@ func (k *Kernel) Read(fd int) (c Count, err error) {
 	}
 	k.serviceEnergy(e)
 	return Count{Value: uint64(e.value), TimeEnabled: e.timeEnabled, TimeRunning: e.timeRunning}, nil
+}
+
+// Seq returns fd's update sequence, which changes whenever the value or
+// the error a Read of fd returns could change. It is 1 at Open and is
+// bumped by every count write (TaskExec credits, the SchedIn/SchedOut
+// software counts, the RAPL fold), by Reset and by the hotplug kill. An
+// enabled energy event is also bumped on every Advance, because its
+// value follows the power model, which the simulator steps before each
+// Advance. Seq is 0 for a fd that is not open; fds are never reused, so
+// an (fd, Seq) pair names one state of one descriptor.
+//
+// Seq covers Read's value and error, not TimeEnabled/TimeRunning, which
+// move on every tick an event is enabled. Read polls the fault plan
+// first, so the guarantee has a precondition: with no fault transition
+// due at the kernel clock, two equal nonzero Seq values mean the same
+// Read value and error. Advance applies every transition due at the new
+// time, so the precondition holds until the next Advance unless a plan
+// is attached in between; the simulator's step hooks run in that window.
+//
+// Seq is not a syscall: it counts none, polls no faults and traces
+// nothing, like a reader checking perf_event_mmap_page's lock word.
+func (k *Kernel) Seq(fd int) uint64 {
+	if fd < 0 || fd >= len(k.fds) || k.fds[fd] == nil {
+		return 0
+	}
+	return k.fds[fd].seq
 }
 
 // ReadUser reads a counter through the rdpmc fast path: no syscall is
@@ -713,7 +764,7 @@ func (k *Kernel) serviceEnergy(e *Event) {
 		return
 	}
 	cur := k.energyValue(e.kind)
-	e.value += cur - e.energyBase
+	e.credit(cur - e.energyBase)
 	e.energyBase = cur
 }
 
@@ -727,7 +778,7 @@ func (k *Kernel) TaskExec(pid, cpu int, dt float64, st events.Stats) {
 	// core, whichever CPU they were nominally opened on.
 	for _, e := range k.uncore {
 		if e.enabled && !e.dead {
-			e.value += e.scale * events.ValueOf(&st, e.kind)
+			e.credit(e.scale * events.ValueOf(&st, e.kind))
 		}
 	}
 	matched := k.eventsFor(pid, cpu)
@@ -745,11 +796,11 @@ func (k *Kernel) TaskExec(pid, cpu int, dt float64, st events.Stats) {
 			e.timeRunning += dt
 			switch e.kind {
 			case events.KindSWCpuClock, events.KindSWTaskClock:
-				e.value += dt * 1e9
+				e.credit(dt * 1e9)
 			case events.KindSWPageFaults:
 				// Minor faults scale with the first-touch footprint; model
 				// them as a small fraction of memory activity.
-				e.value += (st.Loads + st.Stores) * 2e-6
+				e.credit((st.Loads + st.Stores) * 2e-6)
 			}
 			continue
 		}
@@ -766,7 +817,7 @@ func (k *Kernel) TaskExec(pid, cpu int, dt float64, st events.Stats) {
 			continue // multiplexed out this rotation window
 		}
 		e.timeRunning += dt
-		e.value += delta
+		e.credit(delta)
 		k.maybeSample(e, pid, cpu, delta)
 	}
 }
@@ -867,7 +918,7 @@ func (k *Kernel) SchedIn(pid, cpu int, now float64) {
 	}
 	for _, e := range k.byPid[pid] {
 		if e.enabled && e.kind == events.KindSWCpuMigrations {
-			e.value++
+			e.credit(1)
 		}
 	}
 }
@@ -877,7 +928,7 @@ func (k *Kernel) SchedIn(pid, cpu int, now float64) {
 func (k *Kernel) SchedOut(pid, cpu int, now float64) {
 	for _, e := range k.byPid[pid] {
 		if e.enabled && e.kind == events.KindSWContextSwitches {
-			e.value++
+			e.credit(1)
 		}
 	}
 }
@@ -897,6 +948,9 @@ func (k *Kernel) Advance(now float64) {
 		}
 		e.timeEnabled += dt
 		e.timeRunning += dt
+		// The power model moves between clock advances, so the next
+		// fold (and with it Read) may return a new value.
+		e.seq++
 	}
 	for _, e := range k.uncore {
 		if !e.enabled || e.dead {

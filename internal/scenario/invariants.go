@@ -119,11 +119,27 @@ type counterMonotonic struct {
 	prevEnergy    [4]float64
 }
 
+// readMark is the descriptor a slot was last read from and its
+// Kernel.Seq right after that read (0 before the first).
+type readMark struct {
+	fd  int
+	seq uint64
+}
+
+// unchanged reports whether fd is the descriptor last read and the
+// kernel has not updated it since, so that a Read would return the
+// previous result again. Invariants run in a step hook, after Advance
+// has applied every fault transition due at the tick, which is the
+// precondition of Kernel.Seq's guarantee.
+func (r *readMark) unchanged(k *perfevent.Kernel, fd int) bool {
+	return r.seq != 0 && r.fd == fd && k.Seq(fd) == r.seq
+}
+
 // counterBaseline is a slot's previous reading, tagged with the fd it was
 // read from: a slot reopened after hotplug has a new fd and starts a
 // fresh baseline.
 type counterBaseline struct {
-	fd    int
+	readMark
 	value uint64
 	ok    bool
 }
@@ -150,33 +166,36 @@ func (m *counterMonotonic) Check(c *Context) error {
 
 func (*counterMonotonic) Final(*Context) error { return nil }
 
-// checkCounters reads every live event of set and checks it against its
-// slot's baseline in base, which it grows to len(set) and returns.
+// checkCounters checks every live event of set against its slot's
+// baseline in base, which it grows to len(set) and returns. It reads only
+// the slots the kernel updated since their last read: a skipped read would
+// have returned the baseline again.
 func checkCounters(k *perfevent.Kernel, set []WideEvent, base []counterBaseline) ([]counterBaseline, error) {
 	for len(base) < len(set) {
 		base = append(base, counterBaseline{})
 	}
 	for i := range set {
-		we := &set[i]
-		if we.Dead {
+		we, b := &set[i], &base[i]
+		if we.Dead || b.unchanged(k, we.FD) {
 			continue
 		}
 		count, err := k.Read(we.FD)
 		if err != nil {
 			// A fault plan can offline a CPU without going through the
 			// harness's hotplug bookkeeping; a dead descriptor is
-			// degradation, not a monotonicity violation.
+			// degradation, not a monotonicity violation. It never reads
+			// again, so mark it read.
 			if errors.Is(err, perfevent.ErrNoSuchDevice) {
+				b.readMark = readMark{fd: we.FD, seq: k.Seq(we.FD)}
 				continue
 			}
 			return base, fmt.Errorf("reading fd %d (cpu%d %s %v): %v", we.FD, we.CPU, we.TypeName, we.Kind, err)
 		}
-		b := &base[i]
 		if b.ok && b.fd == we.FD && count.Value < b.value {
 			return base, fmt.Errorf("cpu%d %s %v counter decreased: %d -> %d",
 				we.CPU, we.TypeName, we.Kind, b.value, count.Value)
 		}
-		*b = counterBaseline{fd: we.FD, value: count.Value, ok: true}
+		*b = counterBaseline{readMark: readMark{fd: we.FD, seq: k.Seq(we.FD)}, value: count.Value, ok: true}
 	}
 	return base, nil
 }
@@ -207,22 +226,31 @@ func (energyConservation) verify(c *Context) error {
 // programmed on one core type's PMU never counts work executed on another
 // core type. The harness opens a foreign-PMU instruction counter on every
 // CPU of a hybrid machine; all of them must stay at zero forever.
-type coreTypeIsolation struct{}
+type coreTypeIsolation struct {
+	// read holds one mark per Context.Foreign slot: Check re-reads only
+	// the probes the kernel updated since, Final reads them all.
+	read []readMark
+}
 
 func (coreTypeIsolation) Name() string { return "core-type-isolation" }
 
-func (i coreTypeIsolation) Check(c *Context) error { return i.verify(c) }
-func (i coreTypeIsolation) Final(c *Context) error { return i.verify(c) }
+func (i *coreTypeIsolation) Check(c *Context) error { return i.verify(c, true) }
+func (i *coreTypeIsolation) Final(c *Context) error { return i.verify(c, false) }
 
-func (coreTypeIsolation) verify(c *Context) error {
-	for i := range c.Foreign {
-		we := &c.Foreign[i]
-		if we.Dead {
+func (i *coreTypeIsolation) verify(c *Context, gated bool) error {
+	k := c.Sim.Kernel
+	for len(i.read) < len(c.Foreign) {
+		i.read = append(i.read, readMark{})
+	}
+	for j := range c.Foreign {
+		we, mark := &c.Foreign[j], &i.read[j]
+		if we.Dead || gated && mark.unchanged(k, we.FD) {
 			continue
 		}
-		count, err := c.Sim.Kernel.Read(we.FD)
+		count, err := k.Read(we.FD)
 		if err != nil {
 			if errors.Is(err, perfevent.ErrNoSuchDevice) {
+				*mark = readMark{fd: we.FD, seq: k.Seq(we.FD)}
 				continue // hotplugged away by a fault plan
 			}
 			return fmt.Errorf("reading foreign probe fd %d: %v", we.FD, err)
@@ -231,6 +259,7 @@ func (coreTypeIsolation) verify(c *Context) error {
 			return fmt.Errorf("PMU of core type %q counted %d instructions on cpu%d (type %q)",
 				we.TypeName, count.Value, we.CPU, c.Sim.HW.TypeOf(we.CPU).Name)
 		}
+		*mark = readMark{fd: we.FD, seq: k.Seq(we.FD)}
 	}
 	return nil
 }

@@ -1,9 +1,12 @@
 package scenario
 
 // White-box tests that each standard invariant actually detects the
-// violation it exists for. The machines are healthy, so the tests corrupt
-// the invariant's view (its private state, or the hardware spec it reads
-// its bounds from) and assert the check fires.
+// violation it exists for. The machines are healthy, so the tests break
+// a counter for real (Kernel.Reset) or corrupt the invariant's view (its
+// private state, or the hardware spec it reads its bounds from) and
+// assert the check fires. A corrupted counter baseline must also clear
+// the slot's recorded Kernel.Seq: the gated check re-reads only the
+// counters the kernel updated.
 
 import (
 	"strings"
@@ -56,13 +59,22 @@ func TestCounterMonotonicDetectsDecrease(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ws.close(s)
+	// Slot 0 is cpu0's instruction counter; a loop pinned there makes
+	// it count.
+	s.Spawn(workload.NewInstructionLoop("loop", 1e6, 100), hw.NewCPUSet(0))
+	s.RunFor(0.05)
 	ctx := &Context{Sim: s, Wide: ws.events}
 	inv := &counterMonotonic{}
 	if err := inv.Check(ctx); err != nil {
 		t.Fatalf("clean machine flagged: %v", err)
 	}
-	// Pretend the first counter had already reached an enormous value.
-	inv.wide[0].value = 1 << 60
+	if inv.wide[0].value == 0 {
+		t.Fatal("cpu0 instructions did not count")
+	}
+	// Zero the counting counter under the invariant.
+	if err := s.Kernel.Reset(ws.events[0].FD); err != nil {
+		t.Fatal(err)
+	}
 	wantViolation(t, inv.Check(ctx), "decreased")
 }
 
@@ -81,7 +93,10 @@ func TestCounterMonotonicDetectsForeignDecrease(t *testing.T) {
 	if err := inv.Check(ctx); err != nil {
 		t.Fatalf("clean machine flagged: %v", err)
 	}
+	// A foreign probe never counts, so no Reset can lower it: pretend it
+	// had reached an enormous value, and clear its seq so it is re-read.
 	inv.foreign[len(ws.foreign)-1].value = 1 << 60
+	inv.foreign[len(ws.foreign)-1].seq = 0
 	wantViolation(t, inv.Check(ctx), "decreased")
 }
 
@@ -147,6 +162,7 @@ func TestCounterMonotonicFreshBaselineAfterReopen(t *testing.T) {
 		t.Fatal("baselines not re-tagged with the new fds")
 	}
 	inv.foreign[fi].value = 1 << 40
+	inv.foreign[fi].seq = 0
 	wantViolation(t, inv.Check(ctx), "decreased")
 }
 
@@ -174,7 +190,7 @@ func TestCoreTypeIsolationDetectsCrossCount(t *testing.T) {
 	defer ws.close(s)
 	s.Spawn(workload.NewInstructionLoop("loop", 1e6, 100), hw.NewCPUSet(0))
 	s.RunFor(0.05)
-	inv := coreTypeIsolation{}
+	inv := &coreTypeIsolation{}
 	// Misfile cpu0's own (counting) instruction event as a foreign probe:
 	// the invariant must reject any nonzero "foreign" count.
 	ctx := &Context{Sim: s, Foreign: ws.events[:1]}
@@ -253,8 +269,10 @@ func TestStandardReturnsFreshInstances(t *testing.T) {
 		t.Fatalf("Standard() returned %d invariants, want at least 6", len(a))
 	}
 	// The stateful invariants must not share state across calls (empty
-	// structs may legitimately alias, so only check one that holds state).
+	// structs may legitimately alias, so only check the ones that hold
+	// state).
 	var ca, cb *counterMonotonic
+	var ia, ib *coreTypeIsolation
 	for i := range a {
 		if m, ok := a[i].(*counterMonotonic); ok {
 			ca = m
@@ -262,9 +280,18 @@ func TestStandardReturnsFreshInstances(t *testing.T) {
 		if m, ok := b[i].(*counterMonotonic); ok {
 			cb = m
 		}
+		if m, ok := a[i].(*coreTypeIsolation); ok {
+			ia = m
+		}
+		if m, ok := b[i].(*coreTypeIsolation); ok {
+			ib = m
+		}
 	}
 	if ca == nil || cb == nil || ca == cb {
 		t.Fatalf("Standard() must return fresh counter-monotonic instances (got %p, %p)", ca, cb)
+	}
+	if ia == nil || ib == nil || ia == ib {
+		t.Fatalf("Standard() must return fresh core-type-isolation instances (got %p, %p)", ia, ib)
 	}
 	names := map[string]bool{}
 	for _, inv := range a {

@@ -660,14 +660,24 @@ func runOn(s *sim.Machine, spec Spec) (*Result, error) {
 	}
 
 	res := &Result{Name: spec.Name, MachineName: s.HW.Name}
-	failed := map[string]bool{}
-	report := func(atSec float64, inv Invariant, err error) {
-		if err == nil || failed[inv.Name()] {
+	// failed is indexed by owner[i], the first invariant carrying
+	// invariant i's name, so invariants sharing a name stop together.
+	owner := make([]int, len(invariants))
+	first := make(map[string]int, len(invariants))
+	for i, inv := range invariants {
+		if _, seen := first[inv.Name()]; !seen {
+			first[inv.Name()] = i
+		}
+		owner[i] = first[inv.Name()]
+	}
+	failed := make([]bool, len(invariants))
+	report := func(atSec float64, i int, err error) {
+		if err == nil {
 			return
 		}
-		failed[inv.Name()] = true
+		failed[owner[i]] = true
 		res.Violations = append(res.Violations, Violation{
-			AtSec: atSec, Invariant: inv.Name(), Detail: err.Error(),
+			AtSec: atSec, Invariant: invariants[i].Name(), Detail: err.Error(),
 		})
 	}
 
@@ -697,9 +707,9 @@ func runOn(s *sim.Machine, spec Spec) (*Result, error) {
 		// integrates, making energy conservation an exact bookkeeping
 		// identity to check against.
 		ctx.PowerIntegralJ += ctx.Sim.Power.PkgPowerW() * ctx.Sim.Tick()
-		for _, inv := range invariants {
-			if !failed[inv.Name()] {
-				report(now, inv, inv.Check(ctx))
+		for i, inv := range invariants {
+			if !failed[owner[i]] {
+				report(now, i, inv.Check(ctx))
 			}
 		}
 		ctx.PrevNowSec = ctx.Sim.Now()
@@ -783,9 +793,9 @@ func runOn(s *sim.Machine, spec Spec) (*Result, error) {
 		res.Degradations = &rep
 	}
 
-	for _, inv := range invariants {
-		if !failed[inv.Name()] {
-			report(-1, inv, inv.Final(ctx))
+	for i, inv := range invariants {
+		if !failed[owner[i]] {
+			report(-1, i, inv.Final(ctx))
 		}
 	}
 	res.Digest = res.computeDigest(s.HW.NumCPUs())

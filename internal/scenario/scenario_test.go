@@ -316,7 +316,8 @@ func TestViolationsReportedOncePerInvariant(t *testing.T) {
 		Workloads: []scenario.WorkloadSpec{
 			{Kind: scenario.WorkloadSpin, Name: "spin", CPUs: []int{0}, Seconds: 0.5},
 		},
-		Invariants: []scenario.Invariant{failing{}},
+		// Two invariants sharing a name stop together.
+		Invariants: []scenario.Invariant{failing{}, failing{}},
 	})
 	if err == nil {
 		t.Fatal("Run returned nil error despite a failing invariant")
