@@ -692,9 +692,8 @@ func tickNs(b *testing.B, s *sim.Machine, es *core.EventSet) float64 {
 //	exporting  recording, plus a Perfetto JSON export every 1024 ticks
 //
 // The disabled/baseline and enabled/disabled ratios are reported as
-// benchmark metrics (acceptance: disabled adds < 5%), the measured
-// costs are folded into the recorder's self-overhead report
-// (Overhead().TickCostRatio), and the report prints once at the end.
+// benchmark metrics (acceptance: disabled adds < 5%), and the report
+// prints once at the end.
 func BenchmarkSpantraceTick(b *testing.B) {
 	var baselineNs, disabledNs, enabledNs float64
 	var enabledOvh spantrace.OverheadReport
@@ -716,10 +715,9 @@ func BenchmarkSpantraceTick(b *testing.B) {
 		rec.Enable()
 		s.SetTracer(rec)
 		enabledNs = tickNs(b, s, es)
-		rec.RecordTickCost(disabledNs, enabledNs)
 		enabledOvh = rec.Overhead()
-		if enabledOvh.TickCostRatio > 0 {
-			b.ReportMetric(enabledOvh.TickCostRatio, "x-disabled")
+		if disabledNs > 0 {
+			b.ReportMetric(enabledNs/disabledNs, "x-disabled")
 		}
 	})
 	b.Run("exporting", func(b *testing.B) {
@@ -744,7 +742,7 @@ func BenchmarkSpantraceTick(b *testing.B) {
 			fmt.Printf("tick ns: baseline %.0f, disabled %.0f, enabled %.0f\n",
 				baselineNs, disabledNs, enabledNs)
 			fmt.Printf("disabled/baseline %.3f (acceptance: < 1.05), enabled/disabled %.3f\n",
-				disabledNs/baselineNs, enabledOvh.TickCostRatio)
+				disabledNs/baselineNs, enabledNs/disabledNs)
 			fmt.Printf("enabled run emitted %d, retained %d, dropped %d, %d bytes retained\n",
 				enabledOvh.SpansEmitted, enabledOvh.SpansRetained,
 				enabledOvh.SpansDropped, enabledOvh.BytesRetained)
@@ -760,9 +758,7 @@ func BenchmarkSpantraceTick(b *testing.B) {
 //	enabled    collector attached to the spin pid, default drain cadence
 //
 // The enabled/baseline ratio is reported as a benchmark metric
-// (acceptance: < 1.10), the measured costs are folded into the
-// collector's self-overhead report (Overhead().TickCostRatio), and the
-// report prints once at the end.
+// (acceptance: < 1.10), and the report prints once at the end.
 func BenchmarkProfilerTick(b *testing.B) {
 	var baselineNs, enabledNs float64
 	var ovh profile.OverheadReport
@@ -778,10 +774,9 @@ func BenchmarkProfilerTick(b *testing.B) {
 		defer remove()
 		col.Attach(rig.pid)
 		enabledNs = tickNs(b, rig.s, rig.es)
-		col.RecordTickCost(baselineNs, enabledNs)
 		ovh = col.Overhead()
-		if ovh.TickCostRatio > 0 {
-			b.ReportMetric(ovh.TickCostRatio, "x-baseline")
+		if baselineNs > 0 {
+			b.ReportMetric(enabledNs/baselineNs, "x-baseline")
 		}
 	})
 	// Print after both sub-benchmarks settle so the report reflects the

@@ -1,11 +1,13 @@
 // Command hetpapid is the telemetry collector daemon: it runs one or more
-// reference scenarios concurrently (one collector goroutine per simulated
-// machine), streams every tick's hybrid counters, power, energy,
-// frequency and temperature into the sharded time-series store, and
-// serves live queries over HTTP while collection is hot:
+// reference scenarios concurrently (one collection goroutine per
+// simulated machine), streams each machine's per-CPU counters,
+// frequencies, power, energy and temperature into the sharded
+// time-series store on the scenario's monitoring cadence
+// (SamplePeriodSec, 1 Hz when unset), and serves live queries over HTTP
+// while collection is hot:
 //
 //	GET /health            liveness + store totals
-//	GET /machines          per-machine collector status and self-overhead
+//	GET /machines          per-machine run status and sampler ledger
 //	GET /series?machine=M  series inventory
 //	GET /query?machine=M&series=power_w&agg=1
 //	GET /query?machine=M&kind=instructions&by=type
@@ -28,13 +30,17 @@
 // Usage:
 //
 //	hetpapid [-addr :8080] [-scenarios all|name,name,...] [-loop]
-//	         [-capacity N] [-downsample K] [-shards S] [-every T]
+//	         [-capacity N] [-downsample K] [-shards S]
 //	         [-request-timeout D] [-trace-capacity N]
 //	         [-slo-latency-ms 250] [-slo-error-pct 1]
 //	         [-profile] [-profile-period N] [-validate]
 //	         [-fleet N] [-fleet-seed S] [-fleet-stagger W]
 //	         [-fleet-chaos R] [-fleet-workers P]
 //	         [-fleet-stream] [-fleet-anomaly 4.0]
+//
+// Each reference machine samples through its own telemetry.Streamer;
+// /machines and the per-machine hetpapid_* families report its ledger,
+// and /fleet/query?template=<scenario> selects its series.
 //
 // With -fleet N the daemon additionally runs an N-machine simulated
 // fleet (default template mix, seed-derived chaos plans on a -fleet-chaos
@@ -118,7 +124,6 @@ type config struct {
 	capacity   int
 	downsample int
 	shards     int
-	every      int
 	loop       bool
 	reqTimeout time.Duration
 	traceCap   int
@@ -145,7 +150,6 @@ func main() {
 	flag.IntVar(&cfg.capacity, "capacity", 4096, "per-series ring capacity (stored points)")
 	flag.IntVar(&cfg.downsample, "downsample", 4, "raw samples averaged per stored point")
 	flag.IntVar(&cfg.shards, "shards", 8, "store lock shards")
-	flag.IntVar(&cfg.every, "every", 1, "sample every N simulator ticks")
 	flag.BoolVar(&cfg.loop, "loop", true, "restart scenarios when they finish")
 	flag.DurationVar(&cfg.reqTimeout, "request-timeout", 5*time.Second, "per-request handler timeout")
 	flag.IntVar(&cfg.traceCap, "trace-capacity", spantrace.DefaultTrackCapacity,
@@ -250,8 +254,8 @@ func run(ctx context.Context, cfg config, logw io.Writer, ready chan<- string) e
 	defer cancelRuns()
 	var wg sync.WaitGroup
 	for _, spec := range specs {
-		col := telemetry.NewCollector(store, spec.Name, cfg.every)
-		api.Register(spec.Name, spec.Name, spec.Machine, col)
+		st := telemetry.NewStreamer(store, 0)
+		api.Register(spec.Name, spec.Name, spec.Machine, st)
 		var rec *spantrace.Recorder
 		if cfg.traceCap > 0 {
 			rec = spantrace.New(spantrace.Config{TrackCapacity: cfg.traceCap})
@@ -266,7 +270,7 @@ func run(ctx context.Context, cfg config, logw io.Writer, ready chan<- string) e
 		wg.Add(1)
 		go func(spec scenario.Spec) {
 			defer wg.Done()
-			collect(runCtx, api, col, rec, pcol, store, spec, cfg, logw)
+			collect(runCtx, api, st, rec, pcol, spec, cfg.loop, logw)
 		}(spec)
 	}
 
@@ -349,7 +353,7 @@ func collectFleet(ctx context.Context, mon *fleet.Monitor, store *telemetry.Stor
 		}
 		rc := fleet.RunConfig{Workers: cfg.fleetWorkers}
 		if cfg.fleetStream {
-			rc.Streamer = fleet.NewStreamer(store, 0)
+			rc.Streamer = telemetry.NewStreamer(store, 0)
 			rc.Streamer.SetBaseSec(base)
 			if cfg.fleetAnomaly > 0 {
 				rc.Anomaly = &fleet.AnomalyConfig{Threshold: cfg.fleetAnomaly}
@@ -362,7 +366,7 @@ func collectFleet(ctx context.Context, mon *fleet.Monitor, store *telemetry.Stor
 			fmt.Fprintf(logw, "hetpapid: fleet: %v\n", err)
 			return
 		}
-		var overhead *fleet.SelfOverhead
+		var overhead *telemetry.SelfOverhead
 		if rc.Streamer != nil {
 			o := rc.Streamer.ExportOverhead(float64(run))
 			overhead = &o
@@ -382,38 +386,31 @@ func collectFleet(ctx context.Context, mon *fleet.Monitor, store *telemetry.Stor
 }
 
 // collect is one machine's collection goroutine: it runs the scenario
-// (repeatedly in loop mode) with the telemetry hook and, when enabled,
-// the machine's span recorder and statistical profiler attached, until
-// the context stops it. In loop mode each run records into the same
-// rings — the rings drop oldest, so /trace always serves the most
-// recent window, while the profiler archives each finished run
-// (/profile serves the last complete one). The profiler's cumulative
-// sample counters also stream into the store as profile/* series at the
-// telemetry cadence.
-func collect(ctx context.Context, api *telemetry.Server, col *telemetry.Collector,
-	rec *spantrace.Recorder, pcol *profile.Collector, store *telemetry.Store,
-	spec scenario.Spec, cfg config, logw io.Writer) {
-	every := cfg.every
-	if every <= 0 {
-		every = 1
-	}
-	var profTicks int
+// (repeatedly in loop mode) with the streamer's per-CPU sampling hook
+// and, when enabled, the machine's span recorder and statistical
+// profiler attached, until the context stops it. In loop mode each run
+// records into the same rings — the rings drop oldest, so /trace always
+// serves the most recent window, while the profiler archives each
+// finished run (/profile serves the last complete one) — and the
+// streamer's time axis advances by each run's simulated time. The
+// profiler's cumulative sample counters stream as profile/* series at
+// the machine's sample times.
+func collect(ctx context.Context, api *telemetry.Server, st *telemetry.Streamer,
+	rec *spantrace.Recorder, pcol *profile.Collector,
+	spec scenario.Spec, loop bool, logw io.Writer) {
+	base := 0.0
 	for {
 		run := spec
-		run.StepHooks = []scenario.StepHook{col.Hook()}
+		st.SetBaseSec(base)
+		run.StepHooks = []scenario.StepHook{st.HookFor(spec.Name, spec.Name, &spec, true)}
 		if pcol != nil {
 			run.StepHooks = append(run.StepHooks, pcol.Hook(),
-				func(c *scenario.Context) {
-					profTicks++
-					if profTicks%every != 0 {
-						return
-					}
-					t := c.Sim.Now()
-					store.Append(telemetry.Key{Machine: spec.Name, Series: "profile/emitted"},
+				st.OnSample(&spec, func(_ *scenario.Context, t float64) {
+					st.Store().Append(telemetry.Key{Machine: spec.Name, Series: "profile/emitted"},
 						t, float64(pcol.EmittedTotal()))
-					store.Append(telemetry.Key{Machine: spec.Name, Series: "profile/lost"},
+					st.Store().Append(telemetry.Key{Machine: spec.Name, Series: "profile/lost"},
 						t, float64(pcol.LostTotal()))
-				})
+				}))
 		}
 		run.Stop = func() bool { return ctx.Err() != nil }
 		run.Tracer = rec
@@ -426,9 +423,9 @@ func collect(ctx context.Context, api *telemetry.Server, col *telemetry.Collecto
 			fmt.Fprintf(logw, "hetpapid: scenario %s: stopped after %.1fs simulated\n",
 				spec.Name, res.ElapsedSec)
 		}
-		if ctx.Err() != nil || !cfg.loop || err != nil {
+		if ctx.Err() != nil || !loop || err != nil {
 			return
 		}
-		col.NextRun()
+		base += res.ElapsedSec
 	}
 }

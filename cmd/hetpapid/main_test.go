@@ -36,7 +36,7 @@ func TestResolveSpecs(t *testing.T) {
 
 // TestDaemonLiveQueries boots the daemon on two concurrent machines in
 // loop mode, queries /query and /metrics while collection is hot, checks
-// the self-overhead gauge is reporting, then shuts down gracefully.
+// each machine's sampler ledger is reporting, then shuts down gracefully.
 func TestDaemonLiveQueries(t *testing.T) {
 	cfg := config{
 		addr:       "127.0.0.1:0",
@@ -44,7 +44,6 @@ func TestDaemonLiveQueries(t *testing.T) {
 		capacity:   2048,
 		downsample: 1,
 		shards:     8,
-		every:      1,
 		loop:       true, // keep collection hot for the whole test
 		reqTimeout: 5 * time.Second,
 		traceCap:   1024,
@@ -72,7 +71,7 @@ func TestDaemonLiveQueries(t *testing.T) {
 		t.Fatalf("health %+v err %v", h, err)
 	}
 
-	// Wait for both collectors to have ingested ticks.
+	// Wait for both machines' streamers to have sampled.
 	deadline := time.Now().Add(15 * time.Second)
 	var machines []telemetry.MachineInfo
 	for time.Now().Before(deadline) {
@@ -80,21 +79,21 @@ func TestDaemonLiveQueries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(ms) == 2 && ms[0].Ticks > 0 && ms[1].Ticks > 0 {
+		if len(ms) == 2 && ms[0].Samples > 0 && ms[1].Samples > 0 {
 			machines = ms
 			break
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
 	if machines == nil {
-		t.Fatal("collectors never reported ticks")
+		t.Fatal("streamers never reported samples")
 	}
 	for _, m := range machines {
-		if m.OverheadPerTickSec <= 0 {
-			t.Errorf("machine %s reports no per-tick ingestion overhead: %+v", m.Name, m)
+		if m.Points <= m.Samples {
+			t.Errorf("machine %s appended %d points in %d samples, want several per sample", m.Name, m.Points, m.Samples)
 		}
-		if m.OverheadRatio <= 0 || m.OverheadRatio > 1 {
-			t.Errorf("machine %s overhead ratio %g outside (0,1]", m.Name, m.OverheadRatio)
+		if m.IngestSec <= 0 || m.NsPerPoint <= 0 {
+			t.Errorf("machine %s reports no ingestion cost: %+v", m.Name, m)
 		}
 	}
 
@@ -144,8 +143,9 @@ func TestDaemonLiveQueries(t *testing.T) {
 	for _, want := range []string{
 		`hetpapi_pkg_power_watts{machine="homogeneous-powercap"}`,
 		`hetpapi_counter_total{machine="dimensity-mixed-injects"`,
-		"# TYPE hetpapid_overhead_per_tick_seconds gauge",
-		`hetpapid_ticks_total{machine="dimensity-mixed-injects"}`,
+		"# TYPE hetpapid_ingest_ns_per_point gauge",
+		`hetpapid_samples_total{machine="dimensity-mixed-injects"}`,
+		`hetpapid_points_total{machine="homogeneous-powercap"}`,
 		`hetpapiprof_samples_emitted_total{machine="dimensity-mixed-injects"}`,
 		`hetpapiprof_samples_lost_total{machine="homogeneous-powercap"}`,
 		`hetpapid_http_requests_total{endpoint="/health",class="2xx"}`,
@@ -254,7 +254,6 @@ func TestDaemonFleetEndpoint(t *testing.T) {
 		capacity:     256,
 		downsample:   1,
 		shards:       2,
-		every:        1,
 		loop:         false,
 		reqTimeout:   5 * time.Second,
 		fleetN:       8,
@@ -329,7 +328,6 @@ func TestDaemonValidateEndpoint(t *testing.T) {
 		capacity:   256,
 		downsample: 1,
 		shards:     2,
-		every:      1,
 		loop:       false,
 		reqTimeout: 5 * time.Second,
 		validate:   true,

@@ -118,7 +118,7 @@ func run(ctx context.Context, args []string, out, errw io.Writer) error {
 		// keep a 1,000-machine run's footprint bounded; the rungs carry
 		// the history population queries would use.
 		store := telemetry.NewStore(telemetry.Config{Capacity: 512, RungCapacity: 512})
-		rc.Streamer = fleet.NewStreamer(store, *period)
+		rc.Streamer = telemetry.NewStreamer(store, *period)
 		if *anomaly > 0 {
 			rc.Anomaly = &fleet.AnomalyConfig{Threshold: *anomaly}
 		}

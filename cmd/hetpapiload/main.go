@@ -232,7 +232,7 @@ func startInProcess(ctx context.Context, cfg config, logw io.Writer) (addr strin
 	if err != nil {
 		return "", nil, nil, err
 	}
-	streamer := fleet.NewStreamer(store, 0)
+	streamer := telemetry.NewStreamer(store, 0)
 	if _, err := fleet.Run(ctx, f, fleet.RunConfig{Streamer: streamer}); err != nil {
 		return "", nil, nil, fmt.Errorf("rig fleet run: %w", err)
 	}

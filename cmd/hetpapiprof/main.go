@@ -50,7 +50,7 @@ func run(args []string, out io.Writer) error {
 	}
 	switch args[0] {
 	case "list":
-		return cmdList(out)
+		return scenario.WriteList(out)
 	case "record":
 		return cmdRecord(args[1:], out)
 	case "report":
@@ -60,13 +60,6 @@ func run(args []string, out io.Writer) error {
 	default:
 		return fmt.Errorf("unknown subcommand %q (want list, record, report or diff)", args[0])
 	}
-}
-
-func cmdList(out io.Writer) error {
-	for _, spec := range scenario.Reference() {
-		fmt.Fprintf(out, "%-28s machine=%-14s %gs\n", spec.Name, spec.Machine, spec.MaxSeconds)
-	}
-	return nil
 }
 
 func cmdRecord(args []string, out io.Writer) error {

@@ -9,7 +9,19 @@ import (
 	"hetpapi/internal/core"
 	"hetpapi/internal/faults"
 	"hetpapi/internal/scenario"
+	"hetpapi/internal/telemetry"
 )
+
+// Streamer is telemetry.Streamer, the repo's one step-hook sampler. The
+// alias stays only because hetbench names fleet.Streamer; repo code uses
+// telemetry.Streamer.
+type Streamer = telemetry.Streamer
+
+// NewStreamer is telemetry.NewStreamer. It stays only because hetbench
+// calls fleet.NewStreamer; repo code calls telemetry.NewStreamer.
+func NewStreamer(store *telemetry.Store, periodSec float64) *Streamer {
+	return telemetry.NewStreamer(store, periodSec)
+}
 
 // RunConfig parameterizes fleet execution.
 type RunConfig struct {
@@ -24,11 +36,11 @@ type RunConfig struct {
 	// deterministic output.
 	OnMachine func(MachineResult)
 	// Streamer, when set, streams every machine's live series into its
-	// telemetry store (per-core-type counters, machine scalars,
-	// degradations) as the fleet runs. Per-series contents stay
-	// deterministic: each series is written by one machine's goroutine
-	// at simulated times.
-	Streamer *Streamer
+	// telemetry store in the population form (per-core-type counters,
+	// machine scalars, degradations) as the fleet runs. Per-series
+	// contents stay deterministic: each series is written by one
+	// machine's goroutine at simulated times.
+	Streamer *telemetry.Streamer
 	// Anomaly, when set together with Streamer, runs the robust
 	// z-score outlier detector over the streamed rung summaries after
 	// the pool drains and embeds the (deterministic) result in the
@@ -120,7 +132,7 @@ func Run(ctx context.Context, f *Fleet, rc RunConfig) (*Report, error) {
 // panics into a result instead of letting them take down the pool. When
 // a streamer is attached, its sampling hook rides along after the
 // machine's own hooks.
-func runMachine(ctx context.Context, ms *MachineSpec, streamer *Streamer) (mr MachineResult) {
+func runMachine(ctx context.Context, ms *MachineSpec, streamer *telemetry.Streamer) (mr MachineResult) {
 	mr = MachineResult{
 		ID:             ms.ID,
 		Template:       ms.Template,
@@ -154,7 +166,7 @@ func runMachine(ctx context.Context, ms *MachineSpec, streamer *Streamer) (mr Ma
 		})
 	}
 	if streamer != nil {
-		spec.StepHooks = append(spec.StepHooks, streamer.hookFor(ms))
+		spec.StepHooks = append(spec.StepHooks, streamer.HookFor(ms.ID, ms.Template, &spec, false))
 	}
 	spec.Stop = func() bool { return ctx.Err() != nil }
 

@@ -16,7 +16,7 @@ type Monitor struct {
 	mu       sync.RWMutex
 	report   *Report
 	running  bool
-	overhead *SelfOverhead
+	overhead *telemetry.SelfOverhead
 }
 
 // NewMonitor builds an empty monitor (/fleet serves 404 until the
@@ -34,7 +34,7 @@ func (m *Monitor) Register(s *telemetry.Server) {
 // snapshot (nil when the run didn't stream); it rides alongside the
 // report rather than inside it because it is wall-clock data and the
 // report must stay byte-identical across worker counts.
-func (m *Monitor) SetReport(r *Report, overhead *SelfOverhead) {
+func (m *Monitor) SetReport(r *Report, overhead *telemetry.SelfOverhead) {
 	m.mu.Lock()
 	m.report = r
 	m.overhead = overhead
@@ -53,9 +53,9 @@ func (m *Monitor) SetRunning(running bool) {
 // the in-flight flag and, for streamed runs, the pipeline's measured
 // self-overhead.
 type FleetInfo struct {
-	Running      bool          `json:"running"`
-	Report       *Report       `json:"report"`
-	SelfOverhead *SelfOverhead `json:"self_overhead,omitempty"`
+	Running      bool                    `json:"running"`
+	Report       *Report                 `json:"report"`
+	SelfOverhead *telemetry.SelfOverhead `json:"self_overhead,omitempty"`
 }
 
 // HandleFleet serves the latest fleet roll-up report. The per-machine

@@ -24,7 +24,7 @@ func TestStreamingDeterminismSweep(t *testing.T) {
 		store := telemetry.NewStore(telemetry.Config{Capacity: 256, RungCapacity: 256})
 		rc := RunConfig{
 			Workers:  workers,
-			Streamer: NewStreamer(store, 0),
+			Streamer: telemetry.NewStreamer(store, 0),
 			Anomaly:  &AnomalyConfig{Threshold: 3.0, MinMachines: 4},
 		}
 		rep, err := Run(context.Background(), f, rc)
@@ -83,7 +83,7 @@ func TestStreamerPopulatesStore(t *testing.T) {
 	const n = 6
 	f := streamTestFleet(t, n, 5)
 	store := telemetry.NewStore(telemetry.Config{Capacity: 256, RungCapacity: 256})
-	str := NewStreamer(store, 0)
+	str := telemetry.NewStreamer(store, 0)
 	rep, err := Run(context.Background(), f, RunConfig{Workers: 2, Streamer: str})
 	if err != nil {
 		t.Fatal(err)
@@ -151,12 +151,12 @@ func TestStreamerPopulatesStore(t *testing.T) {
 		"selfoverhead/points", "selfoverhead/samples", "selfoverhead/ingest_ms",
 		"selfoverhead/ns_per_point", "selfoverhead/points_per_s", "selfoverhead/rejected",
 	} {
-		pts, ok := store.Snapshot(telemetry.Key{Machine: OverheadMachine, Series: series})
+		pts, ok := store.Snapshot(telemetry.Key{Machine: telemetry.OverheadMachine, Series: series})
 		if !ok || len(pts) != 1 || pts[0].TimeSec != 3 {
 			t.Fatalf("exported %s = %+v", series, pts)
 		}
 	}
-	pts, _ := store.Snapshot(telemetry.Key{Machine: OverheadMachine, Series: "selfoverhead/points"})
+	pts, _ := store.Snapshot(telemetry.Key{Machine: telemetry.OverheadMachine, Series: "selfoverhead/points"})
 	if int64(pts[0].Value) != o.Points {
 		t.Fatalf("exported points %g != gauge %d", pts[0].Value, o.Points)
 	}
@@ -169,7 +169,7 @@ func TestStreamerBaseSecShiftsRounds(t *testing.T) {
 	f := genTestFleet(t, 3, 9)
 	store := telemetry.NewStore(telemetry.Config{Capacity: 1024, RungCapacity: 256})
 
-	s1 := NewStreamer(store, 0)
+	s1 := telemetry.NewStreamer(store, 0)
 	if _, err := Run(context.Background(), f, RunConfig{Workers: 2, Streamer: s1}); err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestStreamerBaseSecShiftsRounds(t *testing.T) {
 		t.Fatal("first round streamed nothing")
 	}
 
-	s2 := NewStreamer(store, 0)
+	s2 := telemetry.NewStreamer(store, 0)
 	s2.SetBaseSec(round1Max + 1)
 	if _, err := Run(context.Background(), f, RunConfig{Workers: 2, Streamer: s2}); err != nil {
 		t.Fatal(err)

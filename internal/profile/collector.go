@@ -2,7 +2,6 @@ package profile
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -58,9 +57,6 @@ type OverheadReport struct {
 	SamplesPerSimSec float64
 	// LostRatio is lost/(lost+emitted) across all rings.
 	LostRatio float64
-	// TickCostRatio is enabled/disabled per-tick wall cost measured by
-	// RecordTickCost (0 until a benchmark feeds it).
-	TickCostRatio float64
 }
 
 // Collector owns the profiler's kernel plumbing for one simulated
@@ -96,8 +92,6 @@ type Collector struct {
 	drainNs      atomic.Int64
 	emittedTotal atomic.Uint64
 	lostTotal    atomic.Uint64
-	tickDisabled atomic.Int64 // benchmark-fed baseline ns per tick
-	tickEnabled  atomic.Int64
 }
 
 // NewCollector builds a collector for the machine. Attach tasks (or use
@@ -297,13 +291,6 @@ func (c *Collector) EmittedTotal() uint64 { return c.emittedTotal.Load() }
 // LostTotal returns ring-dropped overflow records across all runs.
 func (c *Collector) LostTotal() uint64 { return c.lostTotal.Load() }
 
-// RecordTickCost feeds the benchmark-measured per-tick wall cost with the
-// profiler disabled and enabled; the ratio lands in the overhead report.
-func (c *Collector) RecordTickCost(disabledNs, enabledNs float64) {
-	c.tickDisabled.Store(int64(disabledNs))
-	c.tickEnabled.Store(int64(enabledNs))
-}
-
 // Overhead returns the self-overhead report.
 func (c *Collector) Overhead() OverheadReport {
 	r := OverheadReport{
@@ -329,20 +316,10 @@ func (c *Collector) Overhead() OverheadReport {
 	if simSec > 0 {
 		r.SamplesPerSimSec = float64(emitted) / simSec
 	}
-	if d := c.tickDisabled.Load(); d > 0 {
-		r.TickCostRatio = float64(c.tickEnabled.Load()) / float64(d)
-	}
-	if math.IsNaN(r.TickCostRatio) || math.IsInf(r.TickCostRatio, 0) {
-		r.TickCostRatio = 0
-	}
 	return r
 }
 
 func (r OverheadReport) String() string {
-	s := fmt.Sprintf("profiler overhead: %.0f ns/tick over %d ticks (%d drains), %.0f samples/simsec, lost ratio %.4f",
+	return fmt.Sprintf("profiler overhead: %.0f ns/tick over %d ticks (%d drains), %.0f samples/simsec, lost ratio %.4f",
 		r.DrainNsPerTick, r.Ticks, r.Drains, r.SamplesPerSimSec, r.LostRatio)
-	if r.TickCostRatio > 0 {
-		s += fmt.Sprintf(", tick cost %.3fx baseline", r.TickCostRatio)
-	}
-	return s
 }

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"io"
 	"strings"
 
 	"hetpapi/internal/hw"
@@ -158,6 +159,18 @@ func Reference() []Spec {
 			},
 		},
 	}
+}
+
+// WriteList writes one line per reference scenario: its name, machine
+// model and run length. It is the `list` subcommand of hetpapitrace and
+// hetpapiprof.
+func WriteList(w io.Writer) error {
+	for _, spec := range Reference() {
+		if _, err := fmt.Fprintf(w, "%-28s machine=%-14s %gs\n", spec.Name, spec.Machine, spec.MaxSeconds); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Lookup returns the reference scenario with the given name. Its error

@@ -273,23 +273,8 @@ func finishSyscallStats(st *SyscallStats, ns []float64) {
 		sum += v
 	}
 	st.MeanNs = sum / float64(len(ns))
-	st.P50Ns = percentile(ns, 0.50)
-	st.P95Ns = percentile(ns, 0.95)
-}
-
-// percentile reads the p-quantile from sorted data (nearest rank).
-func percentile(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(math.Ceil(p*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
+	st.P50Ns = stats.SortedPercentile(ns, 50)
+	st.P95Ns = stats.SortedPercentile(ns, 95)
 }
 
 // execSpan is one exec interval of a pid, in seconds.
@@ -417,10 +402,6 @@ func (r *Report) String() string {
 	if o := r.Overhead; o != nil {
 		fmt.Fprintf(&b, "\nrecorder self-overhead: %d emitted, %d retained, %d dropped, %d bytes\n",
 			o.SpansEmitted, o.SpansRetained, o.SpansDropped, o.BytesRetained)
-		if o.TickCostRatio > 0 {
-			fmt.Fprintf(&b, "  tick cost: %.0fns disabled, %.0fns enabled (ratio %.3f)\n",
-				o.TickNsDisabled, o.TickNsEnabled, o.TickCostRatio)
-		}
 	}
 	return b.String()
 }

@@ -117,7 +117,8 @@ func TestAnalyzeSyscalls(t *testing.T) {
 	if rd.MinNs != 100 || rd.MaxNs != 400 || !near(rd.MeanNs, 250) {
 		t.Errorf("read latency = %+v", rd)
 	}
-	if rd.P50Ns != 200 || rd.P95Ns != 400 {
+	// Interpolated between closest ranks, as stats.SortedPercentile does.
+	if rd.P50Ns != 250 || rd.P95Ns != 385 {
 		t.Errorf("read percentiles p50=%v p95=%v", rd.P50Ns, rd.P95Ns)
 	}
 	// 100,200 -> bucket 6/7; 300 -> 8; 400 -> 8.

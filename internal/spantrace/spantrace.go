@@ -170,9 +170,6 @@ type Recorder struct {
 	nextCtx  uint64
 
 	cap int
-
-	tickDisabledNs atomic.Uint64 // float64 bits; benchmark-measured
-	tickEnabledNs  atomic.Uint64 // float64 bits
 }
 
 // New builds a recorder. It starts disabled; call Enable to record.
@@ -319,18 +316,6 @@ func (r *Recorder) emit(trk int, ph Phase, name, cat string, startSec, durSec fl
 	}
 }
 
-// RecordTickCost stores benchmark-measured per-tick costs (wall ns per
-// simulator tick with the recorder disabled vs enabled) into the
-// self-overhead report. The benchmark layer owns the measurement; the
-// recorder only carries the result.
-func (r *Recorder) RecordTickCost(disabledNs, enabledNs float64) {
-	if r == nil {
-		return
-	}
-	r.tickDisabledNs.Store(math.Float64bits(disabledNs))
-	r.tickEnabledNs.Store(math.Float64bits(enabledNs))
-}
-
 // Stats is a point-in-time count of recorder activity.
 type Stats struct {
 	Enabled  bool
@@ -370,34 +355,21 @@ func (r *Recorder) Stats() Stats {
 // as the telemetry collector's overhead gauges: what tracing emitted,
 // what it holds, and what it costs per simulator tick.
 type OverheadReport struct {
-	SpansEmitted   uint64  `json:"spans_emitted"`
-	SpansRetained  uint64  `json:"spans_retained"`
-	SpansDropped   uint64  `json:"spans_dropped"`
-	BytesRetained  uint64  `json:"bytes_retained"`
-	TickNsDisabled float64 `json:"tick_ns_disabled,omitempty"` // benchmark-measured
-	TickNsEnabled  float64 `json:"tick_ns_enabled,omitempty"`  // benchmark-measured
-	// TickCostRatio is enabled/disabled per-tick cost (1.0 = free);
-	// zero when the benchmark has not run.
-	TickCostRatio float64 `json:"tick_cost_ratio,omitempty"`
+	SpansEmitted  uint64 `json:"spans_emitted"`
+	SpansRetained uint64 `json:"spans_retained"`
+	SpansDropped  uint64 `json:"spans_dropped"`
+	BytesRetained uint64 `json:"bytes_retained"`
 }
 
 // Overhead assembles the self-overhead report.
 func (r *Recorder) Overhead() OverheadReport {
 	st := r.Stats()
-	rep := OverheadReport{
+	return OverheadReport{
 		SpansEmitted:  st.Emitted,
 		SpansRetained: st.Retained,
 		SpansDropped:  st.Dropped,
 		BytesRetained: st.Bytes,
 	}
-	if r != nil {
-		rep.TickNsDisabled = math.Float64frombits(r.tickDisabledNs.Load())
-		rep.TickNsEnabled = math.Float64frombits(r.tickEnabledNs.Load())
-		if rep.TickNsDisabled > 0 {
-			rep.TickCostRatio = rep.TickNsEnabled / rep.TickNsDisabled
-		}
-	}
-	return rep
 }
 
 // Snapshot is a consistent copy-on-read view of the recorder for export

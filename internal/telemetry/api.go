@@ -52,8 +52,8 @@ type HealthInfo struct {
 	Series    int     `json:"series"`
 }
 
-// MachineInfo is one entry of the /machines payload: a collector
-// goroutine's identity and its self-overhead accounting.
+// MachineInfo is one entry of the /machines payload: a collection
+// goroutine's identity and its sampler's self-overhead ledger.
 type MachineInfo struct {
 	// Name is the machine id (the daemon uses the scenario name).
 	Name string `json:"name"`
@@ -62,19 +62,16 @@ type MachineInfo struct {
 	Model    string `json:"model"`
 	// Running reports whether a collection run is in flight.
 	Running bool `json:"running"`
-	// Runs counts completed scenario runs (loop mode restarts).
+	// Runs counts finished scenario runs (loop mode restarts).
 	Runs int64 `json:"runs"`
-	// Ticks is the number of simulator ticks observed.
-	Ticks int64 `json:"ticks"`
-	// SimSec is the simulated time covered so far.
-	SimSec float64 `json:"sim_sec"`
-	// IngestSec is the wall-clock time spent inside the telemetry hook;
-	// WallSec is the wall-clock span of the whole run loop. Their ratio
-	// and the per-tick cost are the collector's self-overhead gauge.
-	IngestSec          float64 `json:"ingest_sec"`
-	WallSec            float64 `json:"wall_sec"`
-	OverheadPerTickSec float64 `json:"overhead_per_tick_sec"`
-	OverheadRatio      float64 `json:"overhead_ratio"`
+	// Samples, Points, IngestSec and NsPerPoint are the machine's
+	// Streamer ledger (SelfOverhead): sampling passes, series points
+	// appended, wall-clock time inside the sampling hook, and that time
+	// per point.
+	Samples    int64   `json:"samples"`
+	Points     int64   `json:"points"`
+	IngestSec  float64 `json:"ingest_sec"`
+	NsPerPoint float64 `json:"ns_per_point"`
 }
 
 // SeriesInfo is one entry of the /series payload.
@@ -165,7 +162,7 @@ type MeasureValueInfo struct {
 
 // DegradationInfo is one machine's entry of the /degradations payload:
 // the latest graceful-degradation tallies and per-event probe readings,
-// assembled from the degradation/* and measure/* series the collector
+// assembled from the degradation/* and measure/* series the sampler
 // exports. Machines without a measurement probe are omitted.
 type DegradationInfo struct {
 	Machine string `json:"machine"`

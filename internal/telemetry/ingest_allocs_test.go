@@ -3,6 +3,7 @@ package telemetry_test
 import (
 	"runtime"
 	"testing"
+	"time"
 
 	"hetpapi/internal/telemetry"
 )
@@ -40,6 +41,7 @@ func TestAppendAllocations(t *testing.T) {
 		}
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	quiesce()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for end := sec + appends/len(keys); sec < end; sec++ {
@@ -50,5 +52,24 @@ func TestAppendAllocations(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if n := after.Mallocs - before.Mallocs; n != 0 {
 		t.Errorf("%d appends into full rings allocated %d times, want 0", appends, n)
+	}
+}
+
+// quiesce finishes any collection in flight and then waits until no
+// goroutine allocates, so that a window measured with MemStats.Mallocs,
+// which counts the whole process, counts only its own code. A
+// collection wakes runtime goroutines that allocate (the unique
+// package's map cleanup, finalizers); on a loaded host they can run
+// long after it, inside the window.
+func quiesce() {
+	runtime.GC()
+	var a, b runtime.MemStats
+	for i := 0; i < 100; i++ {
+		runtime.ReadMemStats(&a)
+		time.Sleep(time.Millisecond)
+		runtime.ReadMemStats(&b)
+		if a.Mallocs == b.Mallocs {
+			return
+		}
 	}
 }

@@ -10,13 +10,15 @@ import (
 	"strings"
 	"testing"
 
+	"hetpapi/internal/scenario"
 	"hetpapi/internal/spantrace"
 )
 
 // fmtFamily and fmtMetrics are the former /metrics writer of the store
-// and collector families, one fmt.Sprintf per sample line over the
+// and per-machine families, one fmt.Sprintf per sample line over the
 // sorted Machines and SeriesOf lists: the reference handleMetrics's
-// bytes are pinned to.
+// bytes are pinned to. The per-machine hetpapid_* families report each
+// registered machine's streamer ledger.
 type fmtFamily struct {
 	name, help, kind string
 	lines            []string
@@ -34,11 +36,11 @@ func fmtMetrics(s *Server, w io.Writer) {
 	energy := &fmtFamily{name: "hetpapi_pkg_energy_joules_total", help: "Cumulative RAPL package energy.", kind: "counter"}
 	ctr := &fmtFamily{name: "hetpapi_counter_total", help: "System-wide perf counter value per CPU, core type and event kind.", kind: "counter"}
 	degr := &fmtFamily{name: "hetpapi_degradation_total", help: "Graceful-degradation actions performed by the measurement probe, by action.", kind: "counter"}
-	ticks := &fmtFamily{name: "hetpapid_ticks_total", help: "Simulator ticks observed by the collector.", kind: "counter"}
-	runs := &fmtFamily{name: "hetpapid_runs_total", help: "Completed scenario runs.", kind: "counter"}
+	runs := &fmtFamily{name: "hetpapid_runs_total", help: "Finished scenario runs.", kind: "counter"}
+	samples := &fmtFamily{name: "hetpapid_samples_total", help: "Sampling passes of the machine's streamer.", kind: "counter"}
+	points := &fmtFamily{name: "hetpapid_points_total", help: "Series points the machine's streamer appended.", kind: "counter"}
 	ingest := &fmtFamily{name: "hetpapid_ingest_seconds_total", help: "Wall-clock seconds spent in telemetry ingestion.", kind: "counter"}
-	ovhTick := &fmtFamily{name: "hetpapid_overhead_per_tick_seconds", help: "Mean ingestion wall time per simulator tick.", kind: "gauge"}
-	ovhRatio := &fmtFamily{name: "hetpapid_overhead_ratio", help: "Ingestion wall time as a fraction of the run loop wall time.", kind: "gauge"}
+	nsPoint := &fmtFamily{name: "hetpapid_ingest_ns_per_point", help: "Mean ingestion wall time per appended point.", kind: "gauge"}
 	spEmit := &fmtFamily{name: "hetpapid_spans_emitted_total", help: "Span-trace events accepted by the machine's recorder.", kind: "counter"}
 	spKeep := &fmtFamily{name: "hetpapid_spans_retained", help: "Span-trace events currently held in the recorder's rings.", kind: "gauge"}
 	spDrop := &fmtFamily{name: "hetpapid_spans_dropped_total", help: "Span-trace events dropped by ring wraparound or rejected as malformed.", kind: "counter"}
@@ -83,11 +85,12 @@ func fmtMetrics(s *Server, w io.Writer) {
 	for _, name := range names {
 		e := s.machines[name]
 		ml := fmt.Sprintf("machine=%q", name)
-		ticks.add(ml, float64(e.col.Ticks()))
-		runs.add(ml, float64(e.col.Runs()))
-		ingest.add(ml, e.col.IngestSec())
-		ovhTick.add(ml, e.col.OverheadPerTickSec())
-		ovhRatio.add(ml, e.col.OverheadRatio())
+		o := e.streamer.SelfOverhead()
+		runs.add(ml, float64(e.runs.Load()))
+		samples.add(ml, float64(o.Samples))
+		points.add(ml, float64(o.Points))
+		ingest.add(ml, o.IngestSec)
+		nsPoint.add(ml, o.NsPerPoint)
 		if rec := e.recorder(); rec != nil {
 			st := rec.Stats()
 			spEmit.add(ml, float64(st.Emitted))
@@ -101,7 +104,7 @@ func fmtMetrics(s *Server, w io.Writer) {
 	}
 	s.mu.RUnlock()
 
-	for _, f := range []*fmtFamily{freq, temp, pwr, wall, energy, ctr, degr, ticks, runs, ingest, ovhTick, ovhRatio, spEmit, spKeep, spDrop, pfEmit, pfLost} {
+	for _, f := range []*fmtFamily{freq, temp, pwr, wall, energy, ctr, degr, runs, samples, points, ingest, nsPoint, spEmit, spKeep, spDrop, pfEmit, pfLost} {
 		if len(f.lines) == 0 {
 			continue
 		}
@@ -117,9 +120,10 @@ func fmtMetrics(s *Server, w io.Writer) {
 // the awkward ones for a float and string formatter: -0, the smallest
 // subnormal, 1e21 (where %g switches to an exponent), quotes,
 // backslashes, newlines, non-ASCII and invalid UTF-8. It checks a server
-// with no collectors (every collector family empty), then with two
-// collectors, one carrying a span recorder. The hetpapid_http_* tail is
-// pinned to its own fmt reference in package httpobs.
+// with no registered machines (every per-machine family empty), then
+// with two, one whose streamer has sampled a finished run and one
+// carrying a span recorder. The hetpapid_http_* tail is pinned to its
+// own fmt reference in package httpobs.
 func TestMetricsMatchesFmtReference(t *testing.T) {
 	st := NewStore(Config{Capacity: 16})
 	machines := []string{"m0000", `quo"te`, `back\slash`, "new\nline", "ünïcødé-机器", "bad\xffutf8"}
@@ -150,16 +154,24 @@ func TestMetricsMatchesFmtReference(t *testing.T) {
 			t.Fatalf("%s: /metrics differs from the fmt writer:\n got:\n%s\nwant:\n%s", when, got, want.String())
 		}
 	}
-	check("no collectors")
-	srv.Register("m0000", "scen", "raptorlake", NewCollector(st, "m0000", 1))
-	srv.Register(`col"2`, "scen", "homogeneous", NewCollector(st, `col"2`, 1))
+	check("no machines")
+	sampled := NewStreamer(NewStore(Config{}), 0)
+	spec := shortSpec()
+	spec.StepHooks = []scenario.StepHook{sampled.HookFor("m0000", "scen", &spec, true)}
+	if _, err := scenario.Run(spec); err != nil {
+		t.Fatal(err)
+	}
+	srv.Register("m0000", "scen", "homogeneous", sampled)
+	srv.SetRunning("m0000", true)
+	srv.SetRunning("m0000", false)
+	srv.Register(`col"2`, "scen", "homogeneous", NewStreamer(st, 0))
 	rec := spantrace.New(spantrace.Config{TrackCapacity: 2})
 	rec.Enable()
 	for i := 0; i < 5; i++ {
 		rec.Instant(rec.Track("kernel"), "e", "c", float64(i))
 	}
 	srv.AttachTracer(`col"2`, rec)
-	check("two collectors, one traced")
+	check("two machines, one sampled, one traced")
 	// The edge values did reach the exposition.
 	body := httptest.NewRecorder()
 	srv.handleMetrics(body, httptest.NewRequest("GET", "/metrics", nil))
@@ -170,6 +182,10 @@ func TestMetricsMatchesFmtReference(t *testing.T) {
 		"} 1e+21\n",
 		"} 5e-324\n",
 		`hetpapid_spans_dropped_total{machine="col\"2"} 3`,
+		`hetpapid_runs_total{machine="m0000"} 1` + "\n",
+		`hetpapid_samples_total{machine="m0000"} 1` + "\n",
+		`hetpapid_points_total{machine="m0000"} 54` + "\n",
+		`hetpapid_samples_total{machine="col\"2"} 0` + "\n",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics is missing %q", want)

@@ -23,7 +23,7 @@ import (
 // Handler, and tests drive it through httptest. Endpoints:
 //
 //	GET /health            liveness + store totals
-//	GET /machines          collector registry with self-overhead gauges
+//	GET /machines          machine registry with each sampler's ledger
 //	GET /series?machine=M  series inventory of one machine
 //	GET /query?machine=M&series=S[&from=F][&to=T][&agg=1][&rung=R]
 //	GET /query?machine=M&kind=K&by=type
@@ -85,8 +85,9 @@ type Server struct {
 type machineEntry struct {
 	scenarioName string
 	model        string
-	col          *Collector
+	streamer     *Streamer
 	running      atomic.Bool
+	runs         atomic.Int64
 
 	// tracer is the machine's span recorder (nil when the daemon runs
 	// without tracing); /trace serves its live buffer.
@@ -148,10 +149,11 @@ func (s *Server) AttachHTTPTracer(rec *spantrace.Recorder) {
 	s.obs.AttachTracer(rec)
 }
 
-// Register announces a machine (one collector goroutine) to the API.
-func (s *Server) Register(machine, scenarioName, model string, col *Collector) {
+// Register announces a machine (one collection goroutine) to the API,
+// with the streamer whose ledger /machines and /metrics report for it.
+func (s *Server) Register(machine, scenarioName, model string, st *Streamer) {
 	s.mu.Lock()
-	s.machines[machine] = &machineEntry{scenarioName: scenarioName, model: model, col: col}
+	s.machines[machine] = &machineEntry{scenarioName: scenarioName, model: model, streamer: st}
 	s.mu.Unlock()
 }
 
@@ -183,13 +185,17 @@ func (s *Server) AttachProfiler(machine string, col *profile.Collector) {
 	}
 }
 
-// SetRunning flips a machine's in-flight flag.
+// SetRunning flips a machine's in-flight flag; clearing it counts a
+// finished run.
 func (s *Server) SetRunning(machine string, running bool) {
 	s.mu.RLock()
 	e := s.machines[machine]
 	s.mu.RUnlock()
 	if e != nil {
 		e.running.Store(running)
+		if !running {
+			e.runs.Add(1)
+		}
 	}
 }
 
@@ -368,20 +374,24 @@ func (s *Server) handleMachines(w http.ResponseWriter, r *http.Request) {
 	for name := range s.machines {
 		names = append(names, name)
 	}
-	s.mu.RUnlock()
 	sort.Strings(names)
 	out := make([]MachineInfo, 0, len(names))
 	for _, name := range names {
-		s.mu.RLock()
 		e := s.machines[name]
-		s.mu.RUnlock()
-		info := e.col.Info()
-		info.Name = name
-		info.Scenario = e.scenarioName
-		info.Model = e.model
-		info.Running = e.running.Load()
-		out = append(out, info)
+		o := e.streamer.SelfOverhead()
+		out = append(out, MachineInfo{
+			Name:       name,
+			Scenario:   e.scenarioName,
+			Model:      e.model,
+			Running:    e.running.Load(),
+			Runs:       e.runs.Load(),
+			Samples:    o.Samples,
+			Points:     o.Points,
+			IngestSec:  o.IngestSec,
+			NsPerPoint: o.NsPerPoint,
+		})
 	}
+	s.mu.RUnlock()
 	writeJSON(w, http.StatusOK, out)
 }
 
@@ -703,11 +713,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	energy := promtext.Family{Name: "hetpapi_pkg_energy_joules_total", Help: "Cumulative RAPL package energy.", Type: "counter"}
 	ctr := promtext.Family{Name: "hetpapi_counter_total", Help: "System-wide perf counter value per CPU, core type and event kind.", Type: "counter"}
 	degr := promtext.Family{Name: "hetpapi_degradation_total", Help: "Graceful-degradation actions performed by the measurement probe, by action.", Type: "counter"}
-	ticks := promtext.Family{Name: "hetpapid_ticks_total", Help: "Simulator ticks observed by the collector.", Type: "counter"}
-	runs := promtext.Family{Name: "hetpapid_runs_total", Help: "Completed scenario runs.", Type: "counter"}
+	runs := promtext.Family{Name: "hetpapid_runs_total", Help: "Finished scenario runs.", Type: "counter"}
+	samples := promtext.Family{Name: "hetpapid_samples_total", Help: "Sampling passes of the machine's streamer.", Type: "counter"}
+	points := promtext.Family{Name: "hetpapid_points_total", Help: "Series points the machine's streamer appended.", Type: "counter"}
 	ingest := promtext.Family{Name: "hetpapid_ingest_seconds_total", Help: "Wall-clock seconds spent in telemetry ingestion.", Type: "counter"}
-	ovhTick := promtext.Family{Name: "hetpapid_overhead_per_tick_seconds", Help: "Mean ingestion wall time per simulator tick.", Type: "gauge"}
-	ovhRatio := promtext.Family{Name: "hetpapid_overhead_ratio", Help: "Ingestion wall time as a fraction of the run loop wall time.", Type: "gauge"}
+	nsPoint := promtext.Family{Name: "hetpapid_ingest_ns_per_point", Help: "Mean ingestion wall time per appended point.", Type: "gauge"}
 	spEmit := promtext.Family{Name: "hetpapid_spans_emitted_total", Help: "Span-trace events accepted by the machine's recorder.", Type: "counter"}
 	spKeep := promtext.Family{Name: "hetpapid_spans_retained", Help: "Span-trace events currently held in the recorder's rings.", Type: "gauge"}
 	spDrop := promtext.Family{Name: "hetpapid_spans_dropped_total", Help: "Span-trace events dropped by ring wraparound or rejected as malformed.", Type: "counter"}
@@ -746,11 +756,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	sort.Strings(names)
 	for _, name := range names {
 		e := s.machines[name]
-		ticks.Sample(float64(e.col.Ticks()), "machine", name)
-		runs.Sample(float64(e.col.Runs()), "machine", name)
-		ingest.Sample(e.col.IngestSec(), "machine", name)
-		ovhTick.Sample(e.col.OverheadPerTickSec(), "machine", name)
-		ovhRatio.Sample(e.col.OverheadRatio(), "machine", name)
+		o := e.streamer.SelfOverhead()
+		runs.Sample(float64(e.runs.Load()), "machine", name)
+		samples.Sample(float64(o.Samples), "machine", name)
+		points.Sample(float64(o.Points), "machine", name)
+		ingest.Sample(o.IngestSec, "machine", name)
+		nsPoint.Sample(o.NsPerPoint, "machine", name)
 		if rec := e.recorder(); rec != nil {
 			st := rec.Stats()
 			spEmit.Sample(float64(st.Emitted), "machine", name)
@@ -766,7 +777,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	// A failed write means the client is gone; there is no one to tell.
-	_ = promtext.Write(w, &freq, &temp, &pwr, &wall, &energy, &ctr, &degr, &ticks, &runs, &ingest, &ovhTick, &ovhRatio, &spEmit, &spKeep, &spDrop, &pfEmit, &pfLost)
+	_ = promtext.Write(w, &freq, &temp, &pwr, &wall, &energy, &ctr, &degr, &runs, &samples, &points, &ingest, &nsPoint, &spEmit, &spKeep, &spDrop, &pfEmit, &pfLost)
 	// The serving path's own families (hetpapid_http_*).
 	s.obs.WritePrometheus(w)
 }

@@ -34,7 +34,7 @@ func seededServer(t *testing.T, timeout time.Duration) (*telemetry.Store, *telem
 		st.Append(telemetry.Key{Machine: "mach", Series: telemetry.CounterSeriesName(1, "E-core", "instructions")}, ti, 100*ti)
 	}
 	srv := telemetry.NewServer(st, timeout)
-	srv.Register("mach", "seed-scenario", "homogeneous", telemetry.NewCollector(st, "mach", 1))
+	srv.Register("mach", "seed-scenario", "homogeneous", telemetry.NewStreamer(st, 0))
 	return st, srv
 }
 
@@ -225,8 +225,8 @@ func TestMetricsExposition(t *testing.T) {
 		"# TYPE hetpapi_pkg_power_watts gauge",
 		`hetpapi_pkg_power_watts{machine="mach"} 49`,
 		`hetpapi_counter_total{machine="mach",cpu="0",type="P-core",kind="instructions"} 9000`,
-		"# TYPE hetpapid_ticks_total counter",
-		`hetpapid_overhead_ratio{machine="mach"} 0`,
+		"# TYPE hetpapid_samples_total counter",
+		`hetpapid_ingest_ns_per_point{machine="mach"} 0`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q\n%s", want, text)

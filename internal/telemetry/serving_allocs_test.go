@@ -25,7 +25,7 @@ var rigServer = sync.OnceValues(func() (http.Handler, error) {
 		return nil, err
 	}
 	st := telemetry.NewStore(telemetry.Config{Capacity: 4096, Shards: 8})
-	if _, err := fleet.Run(context.Background(), f, fleet.RunConfig{Streamer: fleet.NewStreamer(st, 0)}); err != nil {
+	if _, err := fleet.Run(context.Background(), f, fleet.RunConfig{Streamer: telemetry.NewStreamer(st, 0)}); err != nil {
 		return nil, err
 	}
 	return telemetry.NewServer(st, 5*time.Second).Handler(), nil

@@ -1,13 +1,14 @@
 // Package telemetry is the live-monitoring layer over the simulated
-// machines: a sharded, concurrency-safe time-series store that ingests
-// per-tick samples from scenario step hooks (one series per core, event
-// and PMU, plus machine-level power, energy, frequency and temperature),
-// holds them in fixed-capacity ring buffers with multi-resolution
-// downsampling rungs, and answers snapshot/range/aggregate queries
-// without blocking ingestion.
+// machines: one step-hook sampler (Streamer) that samples every machine
+// on its scenario's monitoring cadence and meters its own cost, and a
+// sharded, concurrency-safe time-series store that ingests those
+// samples (per-CPU or per-core-type counters, plus machine-level power,
+// energy, frequency and temperature), holds them in fixed-capacity ring
+// buffers with multi-resolution downsampling rungs, and answers
+// snapshot/range/aggregate queries without blocking ingestion.
 //
 // Layout: series are partitioned across shards by an FNV-1a hash of their
-// key, so concurrent collectors (one goroutine per simulated machine)
+// key, so concurrent samplers (one goroutine per simulated machine)
 // contend only when they hash to the same shard. The write path takes one
 // shard's write lock for O(1) work per sample; the read path takes the
 // shard's read lock only long enough to copy points out ("copy-on-read"),
@@ -134,7 +135,7 @@ type rungState struct {
 
 // add folds one sample at time t into the rung, closing the open bucket
 // when t crosses into a later one. Timestamps are assumed non-decreasing
-// per series (the collector contract); a late sample that lands before
+// per series (the sampler contract); a late sample that lands before
 // the open bucket is folded into the open bucket rather than reopening a
 // closed one, which keeps the ring time-ordered.
 func (rs *rungState) add(t, v float64) {
