@@ -40,7 +40,9 @@
 //
 // Each reference machine samples through its own telemetry.Streamer;
 // /machines and the per-machine hetpapid_* families report its ledger,
-// and /fleet/query?template=<scenario> selects its series.
+// and /fleet/query?template=<scenario> selects its scalar and
+// degradation series (the population view leaves per-CPU counters out;
+// /query?by=type and /metrics serve them).
 //
 // With -fleet N the daemon additionally runs an N-machine simulated
 // fleet (default template mix, seed-derived chaos plans on a -fleet-chaos

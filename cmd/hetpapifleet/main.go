@@ -2,9 +2,9 @@
 // seed and writes the roll-up report: expand a weighted template mix
 // into N machines (per-machine derived scheduler seeds, staggered
 // cold-starts, optional seed-derived chaos fault plans), run every
-// machine's event-driven simulation to completion on a bounded worker
-// pool, and aggregate per-core-type counters, energy, degradation
-// tallies and the incident ledger across the whole population.
+// machine's simulation to completion on a bounded worker pool, and
+// aggregate per-core-type counters, energy, degradation tallies and the
+// incident ledger across the whole population.
 //
 // Usage:
 //

@@ -1,8 +1,8 @@
 package dvfs
 
-// NextUpdateSec exposes the governor's next control boundary to the
-// simulator's event core; between boundaries Update provably mutates
-// nothing, which is what lets idle ticks skip the call.
+// NextUpdateSec is the governor's deadline in the simulator's step
+// loop; between boundaries Update provably mutates nothing, which is
+// what lets idle ticks skip the call.
 
 import (
 	"testing"
@@ -44,7 +44,7 @@ func TestNextUpdateSecTracksLoops(t *testing.T) {
 	}
 }
 
-// TestUpdateBetweenDeadlinesIsNoOp pins the property the event core's
+// TestUpdateBetweenDeadlinesIsNoOp pins the property the simulator's
 // idle path relies on: calling Update strictly between both loop
 // boundaries changes no governor state.
 func TestUpdateBetweenDeadlinesIsNoOp(t *testing.T) {

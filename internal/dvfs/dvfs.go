@@ -141,10 +141,9 @@ func (g *Governor) Update(nowSec, pkgPowerW, capW, tempC float64) {
 
 // NextUpdateSec returns the simulated time of the governor's next control
 // deadline: the earlier of the power-loop and thermal-loop boundaries.
-// Update calls strictly before it are no-ops, so a caller that drives the
-// governor on events rather than ticks only needs to call Update at (or
-// conservatively before) this time. A governor that has never been
-// updated is due immediately.
+// Update calls strictly before it are no-ops, so a caller only needs to
+// call Update at (or conservatively before) this time. A governor that
+// has never been updated is due immediately.
 func (g *Governor) NextUpdateSec() float64 {
 	if !g.started {
 		return 0

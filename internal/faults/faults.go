@@ -222,9 +222,9 @@ func (p *Plan) Pending(now float64) []Event {
 func (p *Plan) Done() bool { return p == nil || p.next >= len(p.events) }
 
 // NextAt returns the trigger time of the earliest not-yet-applied event,
-// or +Inf when the plan is exhausted (or nil). Event-driven kernels use
-// it to know how far they may advance before the next Pending call can
-// return anything.
+// or +Inf when the plan is exhausted (or nil). Until the clock reaches
+// it, the next Pending call returns nothing, which is the precondition
+// of the kernel's update sequence (perfevent's FuzzKernelSeq reads it).
 func (p *Plan) NextAt() float64 {
 	if p == nil || p.next >= len(p.events) {
 		return math.Inf(1)

@@ -2,10 +2,10 @@
 // deterministic weighted-template generator expands a seed and a template
 // mix into N fully-specified scenario machines (staggered cold-starts,
 // per-machine derived seeds, optional per-machine chaos plans), a bounded
-// worker pool runs every machine's event-driven simulation to completion,
-// and a roll-up pass aggregates the per-core-type counters, energy,
-// degradation tallies and incidents of the whole fleet into one
-// reproducible JSON report.
+// worker pool runs every machine's simulation to completion, and a
+// roll-up pass aggregates the per-core-type counters, energy, degradation
+// tallies and incidents of the whole fleet into one reproducible JSON
+// report.
 //
 // Everything flows from the fleet seed. Per-machine quantities — the
 // scheduler seed, the cold-start offset, whether the machine draws a

@@ -56,8 +56,9 @@ func TestStreamingDeterminismSweep(t *testing.T) {
 }
 
 // streamTestFleet builds a fleet whose workloads span the whole
-// simulated window: the event-driven sim only ticks while work runs, so
-// cadence assertions need machines that stay busy to MaxSeconds.
+// simulated window: a machine's run stops ticking once its work
+// completes, so cadence assertions need machines that stay busy to
+// MaxSeconds.
 func streamTestFleet(t *testing.T, n int, seed int64) *Fleet {
 	t.Helper()
 	tpls := testTemplates()
@@ -99,9 +100,9 @@ func TestStreamerPopulatesStore(t *testing.T) {
 		if meta.Template != ms.Template || meta.Model != ms.Spec.Machine {
 			t.Fatalf("machine %s meta %+v (template %s model %s)", ms.ID, meta, ms.Template, ms.Spec.Machine)
 		}
-		// Every machine samples the scalars while its workloads run (the
-		// event-driven sim stops ticking once work completes, so short
-		// machines legitimately stream few points — but never zero).
+		// Every machine samples the scalars while its workloads run (a
+		// run stops ticking once its work completes, so short machines
+		// legitimately stream few points — but never zero).
 		agg, ok := store.Aggregate(telemetry.Key{Machine: ms.ID, Series: "power_w"})
 		if !ok || agg.Count < 2 {
 			t.Fatalf("machine %s power_w aggregate %+v", ms.ID, agg)

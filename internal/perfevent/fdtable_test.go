@@ -1,14 +1,13 @@
 package perfevent
 
 // Tests for the descriptor table: every kind of bad descriptor is EBADF
-// on every entry point, NumOpen and NextDeadline see past the holes that
-// closed descriptors leave, and the per-tick entry points allocate
-// nothing, on live and on dead descriptors.
+// on every entry point, NumOpen sees past the holes that closed
+// descriptors leave, and the per-tick entry points allocate nothing, on
+// live and on dead descriptors.
 
 import (
 	"errors"
 	"fmt"
-	"math"
 	"testing"
 
 	"hetpapi/internal/events"
@@ -135,38 +134,6 @@ func TestNumOpenTracksOpensAndCloses(t *testing.T) {
 	}
 	want = 1
 	check("after reopening")
-}
-
-func TestNextDeadlineSkipsHoles(t *testing.T) {
-	m := hw.RaptorLake()
-	k := NewKernel(m)
-	inst := attrFor(t, m, "adl_glc", "INST_RETIRED", "ANY")
-	a, err := k.Open(inst, 100, -1, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := k.Open(inst, 100, -1, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const now = 0.0105
-	boundary := (math.Floor(now/k.muxTick) + 1) * k.muxTick
-	if got := k.NextDeadline(now); got != boundary {
-		t.Fatalf("two live events: NextDeadline = %g, want %g", got, boundary)
-	}
-	// Close the first: the table now starts with a hole.
-	if err := k.Close(a); err != nil {
-		t.Fatal(err)
-	}
-	if got := k.NextDeadline(now); got != boundary {
-		t.Fatalf("live event behind a hole: NextDeadline = %g, want %g", got, boundary)
-	}
-	if err := k.Close(b); err != nil {
-		t.Fatal(err)
-	}
-	if got := k.NextDeadline(now); !math.IsInf(got, 1) {
-		t.Fatalf("only holes left: NextDeadline = %g, want +Inf", got)
-	}
 }
 
 func TestHotPathsAllocateNothing(t *testing.T) {

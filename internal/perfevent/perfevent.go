@@ -26,7 +26,6 @@ package perfevent
 import (
 	"errors"
 	"fmt"
-	"math"
 	"time"
 
 	"hetpapi/internal/events"
@@ -963,33 +962,3 @@ func (k *Kernel) Advance(now float64) {
 
 // Now returns the kernel's notion of simulated time.
 func (k *Kernel) Now() float64 { return k.now }
-
-// NextDeadline returns the earliest time at or after now at which the
-// kernel has a time-based obligation: the next multiplex rotation
-// boundary while any countable core-PMU event is live (rotation windows
-// are phase-locked to absolute time, so sampling-capable events are
-// serviced on the same cadence — the kernel resolves overflow ETAs per
-// execution slice within a window), or the next fault-plan trigger. It
-// returns +Inf when the kernel has nothing scheduled, letting an
-// event-driven caller advance freely between deadlines. Purely advisory:
-// rotation and fault application still happen lazily in TaskExec,
-// Advance and the syscall paths.
-func (k *Kernel) NextDeadline(now float64) float64 {
-	next := math.Inf(1)
-	if k.muxTick > 0 {
-		for _, e := range k.fds {
-			if e == nil || e.dead || !e.enabled || e.kind.Energy() || e.uncore {
-				continue
-			}
-			next = (math.Floor(now/k.muxTick) + 1) * k.muxTick
-			break
-		}
-	}
-	if at := k.faults.plan.NextAt(); at < next {
-		if at < now {
-			at = now
-		}
-		next = at
-	}
-	return next
-}

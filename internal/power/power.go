@@ -124,27 +124,6 @@ func (m *Model) CapW() float64 {
 // TurboBudgetJ returns the remaining above-PL1 energy budget.
 func (m *Model) TurboBudgetJ() float64 { return m.pl2Budget }
 
-// NextCapChangeSec estimates how many seconds until CapW changes if the
-// package keeps drawing the power of the last Step: the PL2->PL1 flip
-// while the turbo budget drains, or 0 when an empty budget is refilling
-// (the cap restores on the next step that adds budget). +Inf when no
-// change is pending. The estimate is advisory — future power draw is
-// unknowable — and is only used to surface the flip in the simulator's
-// event horizon, never for control.
-func (m *Model) NextCapChangeSec() float64 {
-	if m.spec.PL1Watts <= 0 {
-		return math.Inf(1)
-	}
-	drain := m.lastPkgW - m.spec.PL1Watts
-	switch {
-	case m.pl2Budget > 0 && drain > 0:
-		return m.pl2Budget / drain
-	case m.pl2Budget <= 0 && drain < 0:
-		return 0
-	}
-	return math.Inf(1)
-}
-
 // EnergyJ returns the accumulated energy of a domain in joules.
 func (m *Model) EnergyJ(d Domain) float64 { return m.energyJ[d] }
 

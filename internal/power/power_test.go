@@ -97,6 +97,22 @@ func TestTurboBudgetReplenishes(t *testing.T) {
 	}
 }
 
+// TestSetLimitsRaisedPL1RestoresTurbo: with the budget burnt, raising PL1
+// above the draw (a power-cap fault healing) refills the budget on the
+// next step, and the cap comes back at the new PL2.
+func TestSetLimitsRaisedPL1RestoresTurbo(t *testing.T) {
+	m := New(hw.PowerSpec{PL1Watts: 65, PL2Watts: 150, PL2BudgetJ: 100, PL1TauSec: 1})
+	m.Step(150, 2) // drains 85 W * 2 s = 170 J, more than the 100 J budget
+	if m.TurboBudgetJ() != 0 || m.CapW() != 65 {
+		t.Fatalf("after overdraw: budget %g J, cap %g W; want 0 J at PL1 65 W", m.TurboBudgetJ(), m.CapW())
+	}
+	m.SetLimits(200, 250)
+	m.Step(150, 0.001)
+	if m.CapW() != 250 {
+		t.Fatalf("cap = %g W after raising PL1, want the new PL2 250 W", m.CapW())
+	}
+}
+
 func TestRunningAverageLagsBehind(t *testing.T) {
 	spec := hw.RaptorLake().Power
 	m := New(spec)

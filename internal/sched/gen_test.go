@@ -1,9 +1,9 @@
 package sched
 
 // The generation counter and quiescence predicate are the scheduler's
-// contract with the simulator's event core: Gen() must tick on every
+// contract with the simulator's step loop: Gen() must tick on every
 // mutation that can change placement or readiness, and Quiescent() must
-// be true only when no tick could do any work — because the event core
+// be true only when no tick could do any work — because the step loop
 // skips scheduler ticks (and per-CPU scanning) for exactly as long as
 // the generation holds and the machine stays quiescent.
 

@@ -183,8 +183,8 @@ func (s *Scheduler) RunningOn(cpu int) *Process { return s.byCPU[cpu] }
 // Gen returns a generation counter bumped by every placement-relevant
 // mutation: spawns, affinity changes, hotplug state changes, assignments,
 // evictions and reaps. A caller that cached a view of the scheduler's
-// state may keep it as long as Gen is unchanged; the simulator's event
-// core uses this to detect when an idle span ends.
+// state may keep it as long as Gen is unchanged; the simulator uses this
+// to detect when an idle span ends.
 func (s *Scheduler) Gen() uint64 { return s.gen }
 
 // NextBalanceSec returns the simulated time of the next load-balance

@@ -56,7 +56,7 @@ func TestStepAllocations(t *testing.T) {
 			return s
 		}},
 		// An idle Raptor Lake cooling between runs, and the idle
-		// big.LITTLE board: the event core's batched idle path.
+		// big.LITTLE board: the batched idle path.
 		{"settle-idle", false, idle(hw.RaptorLake)},
 		{"biglittle-idle", false, idle(hw.OrangePi800)},
 	} {

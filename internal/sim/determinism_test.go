@@ -36,7 +36,7 @@ func traceDigest(t *testing.T, seed int64) (string, float64) {
 
 // sweepSeeds is the 16-seed sweep both determinism tests below run: a
 // spread of small, adjacent, bit-pattern and large seeds so neither the
-// RNG seeding nor the event core's span caching can hide behind one
+// RNG seeding nor the step loop's span caching can hide behind one
 // lucky value.
 var sweepSeeds = []int64{
 	1, 2, 3, 4, 5, 17, 42, 255, 256, 4096, 65537,
@@ -59,7 +59,7 @@ func TestSeedSweepReproducible(t *testing.T) {
 }
 
 // TestSettleReproducible pins the idle fast path: Settle spends millions
-// of quiescent ticks — exactly the span the event core batches — so two
+// of quiescent ticks — exactly the span the step loop batches — so two
 // fresh machines walked through the same warm-up must land on identical
 // waited time, clock, temperature and energy.
 func TestSettleReproducible(t *testing.T) {

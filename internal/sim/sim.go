@@ -1,17 +1,12 @@
-// Package sim is the discrete-event machine simulator: it wires the
-// hardware description, the scheduler, the workloads, the DVFS governor,
-// the power and thermal models, the perf_event kernel and the synthetic
+// Package sim is the machine simulator: it wires the hardware
+// description, the scheduler, the workloads, the DVFS governor, the
+// power and thermal models, the perf_event kernel and the synthetic
 // sysfs tree into a single stepped system.
 //
 // Time advances in fixed ticks (1 ms by default) and every observable
 // boundary — StepHooks, monitoring samples, scheduler decisions — sits on
-// a tick, but the core is event-driven: a min-heap of machine-level
-// events (eventq.go) holds the scheduler's next rebalance point, the DVFS
-// governor's control deadlines, the perf_event kernel's multiplex /
-// sampling / fault-plan obligations, the power model's cap-flip estimate,
-// the thermal settle horizon and any ScheduleAt one-shots. On a busy tick
-// (some task placed, ready or unreaped) the simulator does the full
-// per-CPU work:
+// a tick. On a busy tick (some task placed, ready or unreaped) the
+// simulator does the full per-CPU work:
 //
 //  1. lets the scheduler update task placement,
 //  2. runs each placed task on its CPU at the governor's frequency,
@@ -20,24 +15,21 @@
 //     energy and the thermal zone, and
 //  5. gives the governor its power/thermal feedback.
 //
-// On an idle tick (scheduler quiescent, no event due) only the work that
-// can change state runs: power and thermal integration, the kernel clock,
-// and the hooks. Subsystem calls that would provably be no-ops — per-CPU
-// scanning, scheduler ticks between rebalance deadlines, governor updates
-// between control boundaries — are skipped, and the skipped calls are
-// exactly the ones the event queue proves have no deadline due. The
-// golden scenario digests pin the observable behavior of both paths;
-// they were proven byte-identical to the original fixed-tick reference
-// loop by the differential equivalence suite before that loop was
-// deleted.
+// On an idle tick (scheduler quiescent) only the work that can change
+// state runs: power and thermal integration, the kernel clock, and the
+// hooks. The scheduler and the governor are called only when one of the
+// machine's two deadlines falls due — the scheduler's next rebalance
+// point and the governor's next control boundary — because between
+// those boundaries both calls are provably no-ops. The golden scenario
+// digests pin the observable behavior of both paths; they were proven
+// byte-identical to the original fixed-tick reference loop by the
+// differential equivalence suite before that loop was deleted.
 //
 // Everything is deterministic: all randomness flows from seeds in the
 // configs, and no wall-clock time is consulted anywhere.
 package sim
 
 import (
-	"math"
-
 	"hetpapi/internal/dvfs"
 	"hetpapi/internal/events"
 	"hetpapi/internal/hw"
@@ -51,12 +43,8 @@ import (
 )
 
 // timeEps absorbs the floating-point drift of summing ticks when
-// comparing simulated times against event deadlines.
+// comparing simulated times against deadlines.
 const timeEps = 1e-12
-
-// thermalSettleBandC is how close to steady state the thermal zone must
-// be for the advisory settle event to be considered reached.
-const thermalSettleBandC = 0.05
 
 // Config assembles the subsystem configurations.
 type Config struct {
@@ -102,15 +90,10 @@ type Machine struct {
 	inHooks    bool
 	hooksDirty bool
 
-	// Event core state. The recurring events below are re-armed in
-	// place; the queue additionally holds ScheduleAt one-shots.
-	eq         eventQueue
-	dueScratch []*event
-	evBalance  event
-	evDVFS     event
-	evKernel   event
-	evPowerCap event
-	evThermal  event
+	// The deadlines that gate idle-tick work: the scheduler's next
+	// rebalance point and the governor's next control boundary.
+	nextBalance float64
+	nextDVFS    float64
 	// Span cache: the scheduler's generation counter at the last span
 	// refresh, and whether the machine was quiescent then. Valid until
 	// the generation changes.
@@ -199,16 +182,8 @@ func New(m *hw.Machine, cfg Config) *Machine {
 		return phase, s.freqMHz[cpu]
 	}
 	s.FS = sysfs.New(m, s)
-	s.evBalance.kind = evSchedBalance
-	s.evDVFS.kind = evDVFSDeadline
-	s.evKernel.kind = evKernelDeadline
-	s.evPowerCap.kind = evPowerCap
-	s.evThermal.kind = evThermalSettle
-	for _, e := range []*event{&s.evBalance, &s.evDVFS, &s.evKernel, &s.evPowerCap, &s.evThermal} {
-		e.pos = -1
-	}
-	s.armBalanceEvent()
-	s.armDVFSEvent()
+	s.nextBalance = s.clampFuture(s.Sched.NextBalanceSec())
+	s.nextDVFS = s.clampFuture(s.Governor.NextUpdateSec())
 	return s
 }
 
@@ -341,80 +316,30 @@ func (s *Machine) EnergyUJ() uint64 {
 	return uint64(s.Power.EnergyJ(power.DomainPkg) * 1e6)
 }
 
-// ScheduleAt registers fn to run once at the end of the first tick whose
-// boundary reaches at (a time already passed fires at the end of the next
-// tick). The callback runs after all subsystem updates for the tick and
-// before the StepHooks, with callbacks at equal times firing in
-// registration order. It returns a cancel function (idempotent; a no-op
-// once the callback has fired). This is the door through which harnesses
-// and tasks register future phase changes and completions with the event
-// core.
-func (s *Machine) ScheduleAt(at float64, fn func(*Machine)) (cancel func()) {
-	e := &event{kind: evOneShot, fn: fn, pos: -1}
-	s.eq.schedule(e, at)
-	return func() { s.eq.cancel(e) }
-}
-
-// HasPendingEvents reports whether any machine-level event is queued.
-// The recurring subsystem deadlines (rebalance, DVFS) are always armed,
-// so this is true for the whole life of a machine.
-func (s *Machine) HasPendingEvents() bool { return s.eq.Len() > 0 }
-
-// PeekNextEventTime returns the simulated time of the earliest queued
-// event, or +Inf when the queue is empty. The next Step at or past this
-// time processes the event; Steps strictly before it cannot observe any
-// machine-initiated state change beyond the continuous power/thermal
-// integration.
-func (s *Machine) PeekNextEventTime() float64 {
-	if e := s.eq.peek(); e != nil {
-		return e.at
-	}
-	return math.Inf(1)
-}
-
-// ProcessNextEvent advances the simulation tick by tick until the event
-// that was earliest in the queue has been processed (at least one tick is
-// always taken), and returns the new simulated time. Together with
-// HasPendingEvents and PeekNextEventTime it decomposes the run loop for
-// external drivers that interleave several machines on a shared clock;
-// hooks still fire at every intervening tick boundary.
-func (s *Machine) ProcessNextEvent() float64 {
-	target := s.PeekNextEventTime()
-	s.Step()
-	for s.now < target-timeEps {
-		s.Step()
-	}
-	return s.now
-}
-
-// Step advances the simulation by one tick.
-func (s *Machine) Step() { s.stepEvent() }
-
-// stepEvent is the event-core tick: collect the events due in this tick,
-// then run either the idle path (scheduler quiescent, skipping work the
-// queue proves is not due) or the full busy path.
-func (s *Machine) stepEvent() {
+// Step advances the simulation by one tick. A deadline is due when it
+// falls within the tick (at <= now + dt + eps); the tick then runs
+// either the idle path (scheduler quiescent, skipping the calls no due
+// deadline asks for) or the full busy path, and dispatches the
+// StepHooks.
+func (s *Machine) Step() {
 	if !s.spanValid || s.Sched.Gen() != s.schedGen {
 		s.refreshSpan()
 	}
 	dt := s.cfg.TickSec
-	due := s.dueScratch[:0]
 	limit := s.now + dt + timeEps
-	for s.eq.Len() > 0 && s.eq.peek().at <= limit {
-		due = append(due, s.eq.pop())
-	}
-	s.dueScratch = due
+	balance, dvfs := s.nextBalance <= limit, s.nextDVFS <= limit
 	if s.spanIdle {
-		s.idleTick(due, dt)
+		s.idleTick(balance, dvfs, dt)
 	} else {
-		s.busyTick(due, dt)
+		s.busyTick(balance, dvfs, dt)
 	}
+	s.fireHooks()
 }
 
 // refreshSpan recomputes the span mode after a scheduler mutation (or on
-// the first event-core tick) and refreshes the advisory deadlines. On
-// entry to an idle span it publishes the frequencies every legacy tick
-// would recompute: idle CPUs sit at their minimum OPP for the whole span.
+// the first tick). On entry to an idle span it publishes the frequencies
+// every legacy tick would recompute: idle CPUs sit at their minimum OPP
+// for the whole span.
 func (s *Machine) refreshSpan() {
 	s.schedGen = s.Sched.Gen()
 	s.spanValid = true
@@ -423,48 +348,38 @@ func (s *Machine) refreshSpan() {
 		copy(s.freqMHz, s.cpuMin)
 	}
 	s.spanIdle = idle
-	s.armKernelEvent()
-	s.armPowerEvent()
-	s.armThermalEvent()
 }
 
 // idleTick advances one tick with the scheduler quiescent. Only the
 // continuous integrators run unconditionally; the scheduler and governor
-// run exactly when their queued deadlines come due, which reproduces the
-// legacy loop bit for bit because the skipped calls were no-ops (their
-// own boundary comparisons, re-run on the due tick, gate all mutation).
-func (s *Machine) idleTick(due []*event, dt float64) {
+// run exactly when their deadlines come due, which reproduces the legacy
+// loop bit for bit because the skipped calls were no-ops (their own
+// boundary comparisons, re-run on the due tick, gate all mutation).
+func (s *Machine) idleTick(balance, dvfs bool, dt float64) {
 	now := s.now
-	for _, e := range due {
-		if e.kind == evSchedBalance {
-			s.Sched.Tick(now)
-			s.armBalanceEvent()
-		}
+	if balance {
+		s.Sched.Tick(now)
+		s.nextBalance = s.clampFuture(s.Sched.NextBalanceSec())
 	}
 	s.Power.Step(s.idleCoresW, dt)
 	s.Thermal.Step(s.Power.PkgPowerW(), dt)
-	for _, e := range due {
-		if e.kind == evDVFSDeadline {
-			s.Governor.Update(now, s.Power.PkgPowerW(), s.Power.CapW(), s.Thermal.TempC())
-			s.armDVFSEvent()
-		}
+	if dvfs {
+		s.Governor.Update(now, s.Power.PkgPowerW(), s.Power.CapW(), s.Thermal.TempC())
+		s.nextDVFS = s.clampFuture(s.Governor.NextUpdateSec())
 	}
 	s.now = now + dt
 	s.Kernel.Advance(s.now)
-	s.finishTick(due)
 }
 
 // busyTick is the full per-CPU tick, the alloc-free rewrite of the
 // legacy loop: same subsystem call order, same floating-point operation
 // sequence, with the per-tick maps and heap allocations replaced by the
 // machine's persistent scratch.
-func (s *Machine) busyTick(due []*event, dt float64) {
+func (s *Machine) busyTick(balance, dvfs bool, dt float64) {
 	now := s.now
 	s.Sched.Tick(now)
-	for _, e := range due {
-		if e.kind == evSchedBalance {
-			s.armBalanceEvent()
-		}
+	if balance {
+		s.nextBalance = s.clampFuture(s.Sched.NextBalanceSec())
 	}
 
 	// Determine per-CPU occupancy to pick frequencies and SMT factors.
@@ -548,93 +463,23 @@ func (s *Machine) busyTick(due []*event, dt float64) {
 	s.Power.Step(coresW, dt)
 	s.Thermal.Step(s.Power.PkgPowerW(), dt)
 	s.Governor.Update(now, s.Power.PkgPowerW(), s.Power.CapW(), s.Thermal.TempC())
-	for _, e := range due {
-		if e.kind == evDVFSDeadline {
-			s.armDVFSEvent()
-		}
+	if dvfs {
+		s.nextDVFS = s.clampFuture(s.Governor.NextUpdateSec())
 	}
 	s.now = now + dt
 	s.Kernel.Advance(s.now)
-	s.finishTick(due)
 }
 
-// finishTick handles the end-of-tick event roles shared by both paths:
-// re-arming the advisory deadlines that came due, firing one-shot
-// callbacks, then dispatching the StepHooks.
-func (s *Machine) finishTick(due []*event) {
-	for _, e := range due {
-		switch e.kind {
-		case evKernelDeadline:
-			s.armKernelEvent()
-		case evPowerCap:
-			s.armPowerEvent()
-		case evThermalSettle:
-			s.armThermalEvent()
-		case evOneShot:
-			if e.fn != nil {
-				e.fn(s)
-			}
-		}
-	}
-	s.fireHooks()
-}
-
-// clampFuture keeps a re-armed deadline at least one tick ahead so a
-// conservatively early event (fired before its subsystem's own boundary
-// comparison passed) retries next tick instead of spinning in this one.
+// clampFuture keeps a re-armed deadline at or after the end of the
+// current tick, so a stored deadline never lies behind the clock. A
+// deadline falls due up to one tick early; a subsystem whose own
+// boundary comparison has not passed yet reports a boundary inside this
+// tick, and the clamp moves it to the next.
 func (s *Machine) clampFuture(at float64) float64 {
 	if min := s.now + s.cfg.TickSec; at < min {
 		return min
 	}
 	return at
-}
-
-func (s *Machine) armBalanceEvent() {
-	s.eq.schedule(&s.evBalance, s.clampFuture(s.Sched.NextBalanceSec()))
-}
-
-func (s *Machine) armDVFSEvent() {
-	s.eq.schedule(&s.evDVFS, s.clampFuture(s.Governor.NextUpdateSec()))
-}
-
-func (s *Machine) armKernelEvent() {
-	at := s.Kernel.NextDeadline(s.now)
-	if math.IsInf(at, 1) {
-		s.eq.cancel(&s.evKernel)
-		return
-	}
-	s.eq.schedule(&s.evKernel, s.clampFuture(at))
-}
-
-func (s *Machine) armPowerEvent() {
-	eta := s.Power.NextCapChangeSec()
-	if math.IsInf(eta, 1) {
-		s.eq.cancel(&s.evPowerCap)
-		return
-	}
-	s.eq.schedule(&s.evPowerCap, s.clampFuture(s.now+eta))
-}
-
-func (s *Machine) armThermalEvent() {
-	p := s.Power.PkgPowerW()
-	ss := s.Thermal.SteadyStateC(p)
-	t := s.Thermal.TempC()
-	var target float64
-	switch {
-	case t > ss+thermalSettleBandC:
-		target = ss + thermalSettleBandC
-	case t < ss-thermalSettleBandC:
-		target = ss - thermalSettleBandC
-	default:
-		s.eq.cancel(&s.evThermal)
-		return
-	}
-	eta := s.Thermal.TimeToReachSec(target, p)
-	if math.IsInf(eta, 1) {
-		s.eq.cancel(&s.evThermal)
-		return
-	}
-	s.eq.schedule(&s.evThermal, s.clampFuture(s.now+eta))
 }
 
 // RunFor advances the simulation by the given number of seconds.

@@ -57,9 +57,6 @@ func New(m *hw.Machine, live Live) *FS {
 	return f
 }
 
-// Machine returns the machine the tree was built from.
-func (f *FS) Machine() *hw.Machine { return f.m }
-
 func static(s string) func() string { return func() string { return s } }
 
 func (f *FS) build() {

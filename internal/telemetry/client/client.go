@@ -1,6 +1,6 @@
-// Package client is the Go client of the hetpapid HTTP API, used by the
-// livemon example and by the daemon's own tests. It speaks the wire types
-// of internal/telemetry.
+// Package client is the Go client of the hetpapid HTTP API, used by
+// hetpapiload and by the daemon's own tests. It speaks the wire types of
+// internal/telemetry.
 package client
 
 import (

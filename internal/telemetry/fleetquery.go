@@ -65,6 +65,12 @@ type FleetQueryResponse struct {
 
 // FleetQuery aggregates the selected rung across the whole population.
 //
+// Each machine counts once per group: counter groups fold per-type
+// totals (type/<type>/<kind>), never per-CPU counters
+// (cpu<N>/<type>/<kind>), which stay reachable through the machine's
+// by-type rollup. Machine scalars and degradation tallies fold as they
+// are.
+//
 // It walks the store's inventory in (machine, series) order. Each
 // matching series' window buckets are copied out under its shard's read
 // lock — bounded by RungCapacity per series, never the raw rings — and
@@ -90,7 +96,7 @@ func (st *Store) FleetQuery(req FleetQueryRequest) (FleetQueryResponse, error) {
 		member := false
 		for _, e := range r.list() {
 			c := e.class
-			if c == nil || req.Type != "" && c.typeName != req.Type || req.Kind != "" && c.kind != req.Kind {
+			if c == nil || e.counter || req.Type != "" && c.typeName != req.Type || req.Kind != "" && c.kind != req.Kind {
 				continue
 			}
 			e.sh.mu.RLock()

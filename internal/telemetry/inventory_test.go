@@ -73,7 +73,8 @@ func splitEventSeries(name string) (typeName, kind string, ok bool) {
 
 // sortFleetQuery is the former FleetQuery: copy the window buckets of
 // every matching series out of the shard maps, sort the contributions by
-// (type, kind, machine, series) and fold them in that order.
+// (type, kind, machine, series) and fold them in that order. Like
+// FleetQuery, it leaves per-CPU counters out of the population view.
 func sortFleetQuery(st *Store, req FleetQueryRequest) (FleetQueryResponse, error) {
 	if req.Rung <= RungRaw || req.Rung >= numRungs {
 		return FleetQueryResponse{}, fmt.Errorf("fleet query needs a downsampled rung (1s, 10s or 1m), got %q", req.Rung)
@@ -89,7 +90,7 @@ func sortFleetQuery(st *Store, req FleetQueryRequest) (FleetQueryResponse, error
 		sh.mu.RLock()
 		for k, s := range sh.series {
 			typeName, kind, ok := splitEventSeries(k.Series)
-			if !ok {
+			if _, _, _, perCPU := splitCounterSeries(k.Series); !ok || perCPU {
 				continue
 			}
 			if req.Type != "" && typeName != req.Type {

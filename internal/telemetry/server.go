@@ -132,10 +132,6 @@ func NewServer(store *Store, requestTimeout time.Duration) *Server {
 	}
 }
 
-// Obs exposes the serving-path observer, for the daemon to set SLO
-// targets on and for tests to inspect directly.
-func (s *Server) Obs() *httpobs.Obs { return s.obs }
-
 // SetSLO updates the serving targets /status judges endpoints against.
 func (s *Server) SetSLO(latencyMs, errorPct float64) { s.obs.SetSLO(latencyMs, errorPct) }
 

@@ -514,6 +514,54 @@ func TestFleetEndpoint(t *testing.T) {
 	}
 }
 
+// TestFleetQueryOneSeriesPerMachine fills a store the way hetpapid does
+// when it runs a reference scenario next to -fleet: a streamed
+// default-template fleet writes per-type totals, and the scenario
+// machine's per-CPU hook writes one counter series per CPU. The
+// population view folds per-type totals only, so in every counter group
+// of the unfiltered query each member machine counts once. The per-CPU
+// counters stay reachable through the machine's by-type rollup.
+func TestFleetQueryOneSeriesPerMachine(t *testing.T) {
+	st := telemetry.NewStore(telemetry.Config{})
+	f, err := fleet.Generate(fleet.GenConfig{Machines: 8, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fleet.Run(context.Background(), f, fleet.RunConfig{Streamer: telemetry.NewStreamer(st, 0)}); err != nil {
+		t.Fatal(err)
+	}
+	spec, err := scenario.Lookup("raptorlake-hpl-pcores")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.MaxSeconds = 5
+	spec.StepHooks = []scenario.StepHook{telemetry.NewStreamer(st, 0).HookFor(spec.Name, spec.Name, &spec, true)}
+	if _, err := scenario.Run(spec); err != nil {
+		t.Fatal(err)
+	}
+
+	resp, err := st.FleetQuery(telemetry.FleetQueryRequest{Rung: telemetry.Rung1s, FromSec: -1, ToSec: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	counterGroups := 0
+	for _, g := range resp.Groups {
+		if g.Type == "machine" || g.Type == "degradation" {
+			continue
+		}
+		counterGroups++
+		if g.Series != g.Machines {
+			t.Errorf("group %s/%s: %d series from %d machines", g.Type, g.Kind, g.Series, g.Machines)
+		}
+	}
+	if counterGroups == 0 {
+		t.Fatalf("no counter groups in %+v", resp)
+	}
+	if aggs := st.TypeAggregates(spec.Name, "instructions"); len(aggs) == 0 || aggs[0].Series == 0 {
+		t.Fatalf("scenario machine's per-CPU counters by type: %+v", aggs)
+	}
+}
+
 func TestValidateEndpoint(t *testing.T) {
 	_, srv := seededServer(t, 0)
 	ts := httptest.NewServer(srv.Handler())

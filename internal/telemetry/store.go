@@ -262,9 +262,6 @@ func NewStore(cfg Config) *Store {
 	return st
 }
 
-// Config returns the effective (defaulted) configuration.
-func (st *Store) Config() Config { return st.cfg }
-
 // SetMeta tags a machine id with fleet metadata (template, model).
 func (st *Store) SetMeta(machine string, m MachineMeta) {
 	st.metaMu.Lock()
@@ -612,12 +609,13 @@ func parseCounterSeries(name string) (cpu, typeName, kind string, ok bool) {
 	return strings.TrimPrefix(cpu, "cpu"), typeName, kind, true
 }
 
-// parseEventSeries classifies a series name for population grouping:
-// per-CPU counters (cpu<N>/<type>/<kind>) and per-type totals
-// (type/<type>/<kind>) map to their core type and event kind; the
-// machine-level scalars map to the pseudo-type "machine"; degradation
-// tallies map to the pseudo-type "degradation". Everything else is not
-// part of the population view.
+// parseEventSeries classifies a series name for grouping: per-CPU
+// counters (cpu<N>/<type>/<kind>) and per-type totals (type/<type>/<kind>)
+// map to their core type and event kind; the machine-level scalars map
+// to the pseudo-type "machine"; degradation tallies map to the
+// pseudo-type "degradation". Everything else is not part of the
+// population view. FleetQuery folds the per-type totals; TypeAggregates
+// groups the per-CPU counters.
 func parseEventSeries(name string) (typeName, kind string, ok bool) {
 	if _, tn, kd, isCounter := parseCounterSeries(name); isCounter {
 		return tn, kd, true

@@ -16,7 +16,6 @@ package thermal
 
 import (
 	"fmt"
-	"math"
 
 	"hetpapi/internal/hw"
 )
@@ -91,27 +90,6 @@ func (m *Model) Step(powerW, dtSec float64) {
 // SteadyStateC returns the equilibrium temperature for a constant power.
 func (m *Model) SteadyStateC(powerW float64) float64 {
 	return m.spec.AmbientC + powerW*m.spec.ResistanceCPerW
-}
-
-// TimeToReachSec returns the analytic time for the zone to reach targetC
-// under a constant powerW, from the first-order solution
-// T(t) = Tss + (T0 - Tss) * exp(-t / RC). It returns 0 when the target is
-// already met (at or past the target in the approach direction) and +Inf
-// when the target lies beyond the steady-state asymptote and is never
-// reached. Advisory: the tick integrator, not this closed form, remains
-// the source of truth for the temperature trajectory.
-func (m *Model) TimeToReachSec(targetC, powerW float64) float64 {
-	tss := m.SteadyStateC(powerW)
-	d0 := m.tempC - tss
-	d1 := targetC - tss
-	ratio := d0 / d1
-	switch {
-	case ratio <= 0 || math.IsInf(ratio, 0) || math.IsNaN(ratio):
-		return math.Inf(1) // target on the far side of (or at) the asymptote
-	case ratio <= 1:
-		return 0
-	}
-	return m.spec.ResistanceCPerW * m.spec.CapacitanceJPerC * math.Log(ratio)
 }
 
 // PowerForTempC returns the power that holds the zone at the given steady
