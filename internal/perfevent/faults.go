@@ -80,6 +80,7 @@ func (k *Kernel) SetWatchdog(pmuType uint32, held bool) {
 	} else {
 		delete(k.faults.watchdog, pmuType)
 	}
+	k.gen++
 	if changed && k.tracer.Enabled() {
 		name := "fault.watchdog-hold"
 		if !held {
@@ -108,6 +109,7 @@ func (k *Kernel) SetCounterBudget(pmuType uint32, cap int) {
 	} else {
 		k.faults.budget[pmuType] = cap
 	}
+	k.gen++
 	if old != cap && k.tracer.Enabled() {
 		k.traceFault("fault.counter-budget",
 			spantrace.Int("pmu", int(pmuType)), spantrace.Int("cap", cap))
@@ -146,6 +148,7 @@ func (k *Kernel) SetCPUOnline(cpu int, online bool) {
 	if was == online {
 		return
 	}
+	k.gen++
 	dead := 0
 	if online {
 		delete(k.faults.offline, cpu)

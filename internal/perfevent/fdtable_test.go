@@ -180,6 +180,36 @@ func TestHotPathsAllocateNothing(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { _, _ = k.ReadGroup(leader) }); n != 1 {
 		t.Errorf("ReadGroup allocates %.1f times, want 1", n)
 	}
+
+	// Contended: three more singletons and a counter budget of 2 against
+	// a demand of 6 counters. Every call crosses a multiplex window, so
+	// the groups rotate and every TaskExec rebuilds its credit plan.
+	singles := []int{wide}
+	for _, a := range []Attr{inst, cyc, attrFor(t, m, "adl_glc", "BR_INST_RETIRED", "ALL_BRANCHES")} {
+		fd, err := k.Open(a, 100, -1, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		singles = append(singles, fd)
+	}
+	k.SetCounterBudget(m.TypeOf(0).PMU.PerfType, 2)
+	now := k.Now()
+	if n := testing.AllocsPerRun(100, func() {
+		k.TaskExec(100, 0, 0.001, st)
+		now += k.muxTick
+		k.Advance(now)
+	}); n != 0 {
+		t.Errorf("TaskExec under a counter budget allocates %.1f times, want 0", n)
+	}
+	for _, fd := range append(singles, leader) {
+		c, err := k.Read(fd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.TimeRunning <= 0 || c.TimeRunning >= c.TimeEnabled {
+			t.Errorf("fd %d ran %.3f of %.3f s enabled; the budget must rotate it", fd, c.TimeRunning, c.TimeEnabled)
+		}
+	}
 }
 
 // TestDeadDescriptorErrorsAllocateNothing pins the hotplug error path the

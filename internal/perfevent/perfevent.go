@@ -136,8 +136,8 @@ type Event struct {
 	leader *Event
 	// members is the event's group, itself first: the event and its
 	// siblings while it leads one, just the event otherwise. Open and
-	// Close keep it current so group walks on the per-tick path (TaskExec
-	// scheduling, ReadGroup) allocate nothing.
+	// Close keep it current so group walks (a credit plan's multiplexing
+	// decision, ReadGroup) allocate nothing.
 	members []*Event
 
 	fd   int
@@ -234,11 +234,14 @@ type Kernel struct {
 	now      float64
 	muxTick  float64
 	syscalls int
-	// evScratch backs eventsFor's result between TaskExec calls — the
-	// kernel runs on the sim goroutine and the match list never outlives
-	// one call, so reusing the array keeps the per-tick hot path
-	// allocation-free.
-	evScratch []*Event
+	// gen is the configuration generation: every change to an input of a
+	// credit plan (see plan.go) bumps it. It starts at 1, so that a zero
+	// plan is stale.
+	gen uint64
+	// plans holds one credit plan per CPU, allocated by the first
+	// TaskExec. leaders and running are scheduledSet's scratch.
+	plans            []creditPlan
+	leaders, running []*Event
 
 	// faults holds the injected fault state (see faults.go). Zero value
 	// means no faults and changes nothing about kernel behavior.
@@ -269,6 +272,7 @@ func NewKernel(m *hw.Machine) *Kernel {
 		lastCPU: map[int]int{},
 		nextFD:  3,
 		muxTick: 0.004, // default multiplex rotation interval
+		gen:     1,
 	}
 }
 
@@ -281,6 +285,7 @@ func (k *Kernel) AttachPower(p *power.Model) { k.pwr = p }
 func (k *Kernel) SetMuxInterval(sec float64) {
 	if sec > 0 {
 		k.muxTick = sec
+		k.gen++
 	}
 }
 
@@ -499,6 +504,7 @@ func (k *Kernel) Open(attr Attr, pid, cpu, groupFD int) (fd int, err error) {
 	if e.uncore {
 		k.uncore = append(k.uncore, e)
 	}
+	k.gen++
 	return e.fd, nil
 }
 
@@ -565,6 +571,7 @@ func (k *Kernel) Enable(fd int) (err error) {
 			k.snapshotEnergy(ev)
 		}
 	}
+	k.gen++
 	return nil
 }
 
@@ -586,6 +593,7 @@ func (k *Kernel) Disable(fd int) (err error) {
 	for _, ev := range e.group() {
 		ev.enabled = false
 	}
+	k.gen++
 	return nil
 }
 
@@ -744,6 +752,7 @@ func (k *Kernel) Close(fd int) (err error) {
 	}
 	k.fds[fd] = nil
 	k.nopen--
+	k.gen++
 	return nil
 }
 
@@ -770,9 +779,10 @@ func (k *Kernel) serviceEnergy(e *Event) {
 // TaskExec reports that task pid executed on cpu for dt seconds producing
 // the given quantities. The kernel credits every enabled event attached to
 // the task (or CPU-wide on that cpu) whose PMU matches the core's PMU type
-// and which holds a counter under the current multiplex rotation.
+// and which holds a counter under the current multiplex rotation. Which
+// events those are, and what happens to each, comes from the CPU's credit
+// plan (see plan.go), rebuilt only when one of its inputs changed.
 func (k *Kernel) TaskExec(pid, cpu int, dt float64, st events.Stats) {
-	coreType := k.m.TypeOf(cpu)
 	// Uncore events are package-scope: they see memory traffic from every
 	// core, whichever CPU they were nominally opened on.
 	for _, e := range k.uncore {
@@ -780,18 +790,14 @@ func (k *Kernel) TaskExec(pid, cpu int, dt float64, st events.Stats) {
 			e.credit(e.scale * events.ValueOf(&st, e.kind))
 		}
 	}
-	matched := k.eventsFor(pid, cpu)
-	if len(matched) == 0 {
-		return
-	}
-	// Partition into groups per PMU type and apply multiplexing.
-	running := k.scheduledSet(matched, coreType.PMU.PerfType)
-	for _, e := range matched {
-		if e.kind.Energy() || e.uncore {
-			continue
-		}
+	for _, pe := range k.plan(pid, cpu).entries {
+		e := pe.e
 		e.timeEnabled += dt
-		if e.kind.Software() {
+		switch pe.op {
+		case opForeign:
+			// Wrong core type: the counter stays scheduled out. Time
+			// enabled accrues (the task is running), running does not.
+		case opSoftware:
 			e.timeRunning += dt
 			switch e.kind {
 			case events.KindSWCpuClock, events.KindSWTaskClock:
@@ -801,110 +807,21 @@ func (k *Kernel) TaskExec(pid, cpu int, dt float64, st events.Stats) {
 				// them as a small fraction of memory activity.
 				e.credit((st.Loads + st.Stores) * 2e-6)
 			}
-			continue
-		}
-		if e.pmuType != coreType.PMU.PerfType {
-			// Wrong core type: the counter stays scheduled out. Time
-			// enabled accrues (the task is running), running does not.
-			continue
-		}
-		delta := e.scale * events.ValueOf(&st, e.kind)
-		// The shadow oracle counts as if the event held a dedicated
-		// counter, unaffected by rotation or watchdog reservations.
-		e.shadow += delta
-		if running != nil && !running[e] {
-			continue // multiplexed out this rotation window
-		}
-		e.timeRunning += dt
-		e.credit(delta)
-		k.maybeSample(e, pid, cpu, delta)
-	}
-}
-
-// eventsFor collects enabled events targeting pid (per-task) or cpu
-// (CPU-wide), in fd order. The returned slice aliases a kernel scratch
-// buffer and is only valid until the next call.
-func (k *Kernel) eventsFor(pid, cpu int) []*Event {
-	out := k.evScratch[:0]
-	for _, e := range k.byPid[pid] {
-		if e.enabled {
-			out = append(out, e)
-		}
-	}
-	for _, e := range k.byCPU[cpu] {
-		if e.enabled && !e.dead {
-			out = append(out, e)
-		}
-	}
-	k.evScratch = out
-	return out
-}
-
-// scheduledSet applies counter-capacity multiplexing: groups of the given
-// PMU type are rotated through the available counters each mux interval.
-// A nil result means every eligible event is scheduled — the common
-// uncontended case, kept allocation-free because this runs once per task
-// per tick.
-func (k *Kernel) scheduledSet(evs []*Event, pmuType uint32) map[*Event]bool {
-	demand := 0
-	stalled := false
-	blocked := k.cyclesBlocked(pmuType)
-	for _, e := range evs {
-		if e.pmuType != pmuType || e.kind.Energy() || e.kind.Software() {
-			continue
-		}
-		if e.leader == nil {
-			if blocked && groupHasCycles(e) {
-				// The watchdog pins the fixed cycles counter; groups
-				// schedule all-or-nothing, so any group containing a
-				// cycles event stalls (time_running stops accruing).
-				stalled = true
-				continue
+		default:
+			delta := e.scale * events.ValueOf(&st, e.kind)
+			// The shadow oracle counts as if the event held a dedicated
+			// counter, unaffected by rotation or watchdog reservations.
+			e.shadow += delta
+			if pe.op == opMuxedOut {
+				continue // multiplexed out this rotation window
 			}
-			demand += e.hwGroupSize()
-		}
-	}
-	cap := k.effectiveCapacity(pmuType)
-	if demand <= cap && !stalled {
-		return nil
-	}
-	var leaders []*Event
-	for _, e := range evs {
-		if e.pmuType != pmuType || e.kind.Energy() || e.kind.Software() {
-			continue
-		}
-		if e.leader == nil && !(blocked && groupHasCycles(e)) {
-			leaders = append(leaders, e)
-		}
-	}
-	running := map[*Event]bool{}
-	if demand <= cap {
-		for _, l := range leaders {
-			for _, e := range l.group() {
-				running[e] = true
+			e.timeRunning += dt
+			e.credit(delta)
+			if e.samplePeriod != 0 {
+				k.maybeSample(e, pid, cpu, delta)
 			}
 		}
-		return running
 	}
-	// Rotate the starting group by the current mux window.
-	window := 0
-	if k.muxTick > 0 {
-		window = int(k.now / k.muxTick)
-	}
-	n := len(leaders)
-	used := 0
-	for i := 0; i < n; i++ {
-		l := leaders[(window+i)%n]
-		need := l.hwGroupSize()
-		if used+need > cap {
-			continue // greedy: skip groups that no longer fit
-		}
-		used += need
-		for _, e := range l.group() {
-			running[e] = true
-		}
-	}
-	return running
 }
 
 // SchedIn implements the scheduler hook: pid starts running on cpu. It

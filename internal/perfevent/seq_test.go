@@ -41,6 +41,9 @@ type seqRun struct {
 	fds  []int // every fd ever opened, closed ones included
 	on   map[int]seqTarget
 	last map[int]seqRead
+	// taskExec runs the TaskExec operation: Kernel.TaskExec, or one of
+	// FuzzKernelPlan's twins.
+	taskExec func(k *Kernel, pid, cpu int, dt float64, st events.Stats)
 }
 
 func (r *seqRun) byte() byte {
@@ -96,7 +99,7 @@ func (r *seqRun) open(attr Attr, pid, cpu, group int) {
 // step applies one operation.
 func (r *seqRun) step() {
 	k := r.k
-	switch r.intn(20) {
+	switch r.intn(22) {
 	case 0: // per-task, own-PMU or foreign depending on where it runs
 		r.open(r.hwAttr(r.coreType()), r.pid(), -1, -1)
 	case 1: // CPU-wide, own PMU
@@ -130,7 +133,7 @@ func (r *seqRun) step() {
 		k.ReadGroup(r.fd())
 	case 12, 13:
 		scale := float64(r.byte())
-		k.TaskExec(r.pid(), r.cpu(), 0.001, events.Stats{
+		r.taskExec(k, r.pid(), r.cpu(), 0.001, events.Stats{
 			Instructions: scale * 1e4,
 			Cycles:       scale * 7e3,
 			Branches:     scale * 2e3,
@@ -175,6 +178,10 @@ func (r *seqRun) step() {
 		k.AttachFaults(r.plan)
 	case 19:
 		r.check()
+	case 20: // 0 restores the default ring
+		k.SetSampleRingCap(r.intn(4))
+	case 21:
+		k.SetMuxInterval(0.001 * float64(1+r.intn(8)))
 	}
 }
 
@@ -199,15 +206,21 @@ func (r *seqRun) check() {
 // descriptor opened so far, so the cost grows with the square of it.
 const maxSeqOps = 2048
 
-func runSeqOps(t *testing.T, m *hw.Machine, ops []byte) {
+func newSeqRun(t *testing.T, m *hw.Machine, ops []byte) *seqRun {
 	if len(ops) > maxSeqOps {
 		ops = ops[:maxSeqOps]
 	}
 	r := &seqRun{
 		t: t, m: m, k: NewKernel(m), pwr: power.New(m.Power), ops: ops,
 		on: map[int]seqTarget{}, last: map[int]seqRead{},
+		taskExec: (*Kernel).TaskExec,
 	}
 	r.k.AttachPower(r.pwr)
+	return r
+}
+
+func runSeqOps(t *testing.T, m *hw.Machine, ops []byte) {
+	r := newSeqRun(t, m, ops)
 	for len(r.ops) > 0 {
 		r.step()
 	}
@@ -219,8 +232,9 @@ func runSeqOps(t *testing.T, m *hw.Machine, ops []byte) {
 // (per-task, CPU-wide, group member, foreign-PMU, uncore, energy,
 // software), Enable, Disable, Reset, Close, ReadGroup, TaskExec with
 // non-negative stats, SchedIn/SchedOut, hotplug, watchdog and counter
-// budget changes, Advance, an attached faults.Random plan, and a check
-// that Reads every descriptor; the bytes after it are its arguments.
+// budget changes, Advance, an attached faults.Random plan, a check that
+// Reads every descriptor, and sampling ring cap and multiplex interval
+// changes; the bytes after it are its arguments.
 func FuzzKernelSeq(f *testing.F) {
 	// Short seeds keep the engine's minimization of new inputs quick.
 	for seed := int64(1); seed <= 32; seed++ {

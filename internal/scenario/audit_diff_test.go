@@ -1,11 +1,13 @@
 package scenario_test
 
-// Differential and mutation suite for the Seq-gated audit. Every input
-// runs twice: once with Standard(), whose counter-monotonic and
-// core-type-isolation re-read only the counters the kernel updated, and
-// once with scenario.SweepStandard(), which swaps in the every-tick full
-// sweep they replaced (audit_sweep_test.go) under the same names.
-// Violation lists, digests and fault-plan traces must be byte-identical.
+// Differential and mutation suite for the gated audit. Every input runs
+// twice: once with Standard(), whose counter-monotonic and
+// core-type-isolation re-read only the counters the kernel updated and
+// whose freq-envelope walks the CPUs only when a frequency or a cap bound
+// changed, and once with scenario.SweepStandard(), which swaps in the
+// every-tick full sweeps they replaced (audit_sweep_test.go) under the
+// same names. Violation lists, digests and fault-plan traces must be
+// byte-identical.
 
 import (
 	"fmt"
@@ -178,22 +180,26 @@ func countingWide(t *testing.T, c *scenario.Context) int {
 
 // TestGatedAuditCatchesMutations breaks each hybrid reference scenario
 // once per gated invariant, from a step hook: a Kernel.Reset of the
-// busiest harness counter at 0.5 s, and a foreign-probe slot repointed at
-// that counter at 0.7 s. Both audits must report the break on the next
-// tick, with identical violation lists.
+// busiest harness counter at 0.5 s, a foreign-probe slot repointed at
+// that counter at 0.7 s, and a P-class user cap of 1 MHz, below every
+// OPP, at 0.9 s. Both audits must report the break with identical
+// violation lists: the counter breaks on the next tick, the cap on the
+// one after, because freq-envelope allows the previous tick's cap for a
+// tick.
 func TestGatedAuditCatchesMutations(t *testing.T) {
 	mutations := []struct {
 		name      string
 		atSec     float64
 		invariant string
+		ticks     int // from the break to the tick that must report it
 		apply     func(*testing.T, *scenario.Context)
 	}{
-		{"reset-counter", 0.5, "counter-monotonic", func(t *testing.T, c *scenario.Context) {
+		{"reset-counter", 0.5, "counter-monotonic", 1, func(t *testing.T, c *scenario.Context) {
 			if err := c.Sim.Kernel.Reset(countingWide(t, c)); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"repoint-foreign", 0.7, "core-type-isolation", func(t *testing.T, c *scenario.Context) {
+		{"repoint-foreign", 0.7, "core-type-isolation", 1, func(t *testing.T, c *scenario.Context) {
 			for i := range c.Foreign {
 				if !c.Foreign[i].Dead {
 					c.Foreign[i].FD = countingWide(t, c)
@@ -201,6 +207,9 @@ func TestGatedAuditCatchesMutations(t *testing.T) {
 				}
 			}
 			t.Fatal("no live foreign probe")
+		}},
+		{"cap-below-opp", 0.9, "freq-envelope", 2, func(t *testing.T, c *scenario.Context) {
+			c.Sim.Governor.SetUserCapMHz(hw.Performance, 1)
 		}},
 	}
 	for _, spec := range scenario.Reference() {
@@ -234,8 +243,9 @@ func TestGatedAuditCatchesMutations(t *testing.T) {
 				}
 				for _, v := range runs[0].violations {
 					if v.Invariant == mut.invariant {
-						if math.Abs(v.AtSec-(brokeAt+tick)) > 1e-9 {
-							t.Fatalf("%s reported at %.6f s, want the tick after the break at %.6f s", v.Invariant, v.AtSec, brokeAt)
+						if want := brokeAt + float64(mut.ticks)*tick; math.Abs(v.AtSec-want) > 1e-9 {
+							t.Fatalf("%s reported at %.6f s, want %.6f s, %d tick(s) after the break at %.6f s",
+								v.Invariant, v.AtSec, want, mut.ticks, brokeAt)
 						}
 						return
 					}

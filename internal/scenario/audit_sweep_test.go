@@ -1,21 +1,24 @@
 package scenario
 
-// The every-tick full sweep that counter-monotonic and core-type-isolation
-// ran before they were gated on Kernel.Seq, kept verbatim (renamed) as
-// the reference the differential suite in audit_diff_test.go compares the
-// gated invariants against.
+// The every-tick full sweeps that counter-monotonic and
+// core-type-isolation ran before they were gated on Kernel.Seq, and that
+// freq-envelope ran before it was gated on sim.Machine.FreqGen, kept
+// verbatim (renamed) as the reference the differential suite in
+// audit_diff_test.go compares the gated invariants against.
 
 import (
 	"errors"
 	"fmt"
+	"math"
 
+	"hetpapi/internal/hw"
 	"hetpapi/internal/perfevent"
 	"hetpapi/internal/power"
 )
 
-// SweepStandard returns Standard() with counter-monotonic and
-// core-type-isolation replaced by their full-sweep references, under the
-// same names and in the same positions.
+// SweepStandard returns Standard() with counter-monotonic,
+// core-type-isolation and freq-envelope replaced by their full-sweep
+// references, under the same names and in the same positions.
 func SweepStandard() []Invariant {
 	invs := Standard()
 	for i, inv := range invs {
@@ -24,6 +27,8 @@ func SweepStandard() []Invariant {
 			invs[i] = &sweepCounterMonotonic{}
 		case *coreTypeIsolation:
 			invs[i] = sweepCoreTypeIsolation{}
+		case *freqEnvelope:
+			invs[i] = &sweepFreqEnvelope{}
 		}
 	}
 	return invs
@@ -132,3 +137,43 @@ func (sweepCoreTypeIsolation) verify(c *Context) error {
 	}
 	return nil
 }
+
+// sweepFreqEnvelope asserts every CPU's frequency stays inside its core type's
+// [min, max] range and at or under the effective (thermal ∧ user) cap.
+// Each tick's frequencies are chosen before the governor's end-of-tick
+// update, so the comparison allows the looser of the current and
+// previous-tick caps (the control loop's inherent one-tick lag), plus
+// half an OPP step for quantization rounding.
+type sweepFreqEnvelope struct {
+	prevCap [2]float64 // by hw.CoreClass; 0 = not yet observed
+}
+
+func (sweepFreqEnvelope) Name() string { return "freq-envelope" }
+
+func (fe *sweepFreqEnvelope) Check(c *Context) error {
+	m := c.Sim.HW
+	var capNow [2]float64
+	for _, class := range []hw.CoreClass{hw.Performance, hw.Efficiency} {
+		capNow[class] = c.Sim.Governor.CapMHz(class)
+		if fe.prevCap[class] == 0 {
+			fe.prevCap[class] = capNow[class]
+		}
+	}
+	defer func() { fe.prevCap = capNow }()
+	for cpu := 0; cpu < m.NumCPUs(); cpu++ {
+		t := m.TypeOf(cpu)
+		f := c.Sim.CurFreqMHz(cpu)
+		if f < t.MinFreqMHz-1e-9 || f > t.MaxFreqMHz+1e-9 {
+			return fmt.Errorf("cpu%d at %.1f MHz outside [%g, %g]", cpu, f, t.MinFreqMHz, t.MaxFreqMHz)
+		}
+		cap := math.Max(capNow[t.Class], fe.prevCap[t.Class])
+		slack := t.FreqStepMHz/2 + 1e-9
+		if cap > 0 && f > cap+slack {
+			return fmt.Errorf("cpu%d at %.1f MHz above the %.1f MHz %s-class cap",
+				cpu, f, cap, t.Class)
+		}
+	}
+	return nil
+}
+
+func (*sweepFreqEnvelope) Final(*Context) error { return nil }

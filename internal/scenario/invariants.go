@@ -287,35 +287,52 @@ func (schedAffinity) Final(*Context) error { return nil }
 // update, so the comparison allows the looser of the current and
 // previous-tick caps (the control loop's inherent one-tick lag), plus
 // half an OPP step for quantization rounding.
+//
+// The CPU walk reads only the frequencies, the per-class bounds and each
+// core type's min, max and OPP step, which are fixed after boot. So Check
+// skips the walk while sim.Machine.FreqGen and both bounds are what they
+// were at its last passing walk: the walk would pass again.
 type freqEnvelope struct {
 	prevCap [2]float64 // by hw.CoreClass; 0 = not yet observed
+	// passed marks a last walk that passed, at frequency generation gen
+	// with per-class bounds bound.
+	passed bool
+	gen    uint64
+	bound  [2]float64
 }
 
 func (freqEnvelope) Name() string { return "freq-envelope" }
 
 func (fe *freqEnvelope) Check(c *Context) error {
-	m := c.Sim.HW
-	var capNow [2]float64
+	var bound [2]float64
 	for _, class := range []hw.CoreClass{hw.Performance, hw.Efficiency} {
-		capNow[class] = c.Sim.Governor.CapMHz(class)
+		capNow := c.Sim.Governor.CapMHz(class)
 		if fe.prevCap[class] == 0 {
-			fe.prevCap[class] = capNow[class]
+			fe.prevCap[class] = capNow
 		}
+		bound[class] = math.Max(capNow, fe.prevCap[class])
+		fe.prevCap[class] = capNow
 	}
-	defer func() { fe.prevCap = capNow }()
+	gen := c.Sim.FreqGen()
+	if fe.passed && gen == fe.gen && bound == fe.bound {
+		return nil
+	}
+	fe.passed = false
+	m := c.Sim.HW
 	for cpu := 0; cpu < m.NumCPUs(); cpu++ {
 		t := m.TypeOf(cpu)
 		f := c.Sim.CurFreqMHz(cpu)
 		if f < t.MinFreqMHz-1e-9 || f > t.MaxFreqMHz+1e-9 {
 			return fmt.Errorf("cpu%d at %.1f MHz outside [%g, %g]", cpu, f, t.MinFreqMHz, t.MaxFreqMHz)
 		}
-		cap := math.Max(capNow[t.Class], fe.prevCap[t.Class])
+		cap := bound[t.Class]
 		slack := t.FreqStepMHz/2 + 1e-9
 		if cap > 0 && f > cap+slack {
 			return fmt.Errorf("cpu%d at %.1f MHz above the %.1f MHz %s-class cap",
 				cpu, f, cap, t.Class)
 		}
 	}
+	fe.passed, fe.gen, fe.bound = true, gen, bound
 	return nil
 }
 

@@ -85,6 +85,9 @@ type Machine struct {
 	cfg     Config
 	now     float64
 	freqMHz []float64 // per logical CPU, as of the last tick
+	// freqGen is bumped whenever a freqMHz entry changes value (see
+	// FreqGen).
+	freqGen uint64
 
 	stepHooks  []*hookEntry
 	inHooks    bool
@@ -182,8 +185,8 @@ func New(m *hw.Machine, cfg Config) *Machine {
 		return phase, s.freqMHz[cpu]
 	}
 	s.FS = sysfs.New(m, s)
-	s.nextBalance = s.clampFuture(s.Sched.NextBalanceSec())
-	s.nextDVFS = s.clampFuture(s.Governor.NextUpdateSec())
+	s.nextBalance = s.Sched.NextBalanceSec()
+	s.nextDVFS = s.Governor.NextUpdateSec()
 	return s
 }
 
@@ -305,6 +308,11 @@ func (s *Machine) Spawn(t workload.Task, affinity hw.CPUSet) *sched.Process {
 // CurFreqMHz returns the frequency a CPU ran at during the last tick.
 func (s *Machine) CurFreqMHz(cpu int) float64 { return s.freqMHz[cpu] }
 
+// FreqGen returns the frequency generation: it changes on every tick on
+// which some CPU's CurFreqMHz changed value, and only then. A reader that
+// saw the same FreqGen before would see every CurFreqMHz unchanged.
+func (s *Machine) FreqGen() uint64 { return s.freqGen }
+
 // CurFreqKHz implements sysfs.Live.
 func (s *Machine) CurFreqKHz(cpu int) int { return int(s.freqMHz[cpu] * 1000) }
 
@@ -345,7 +353,12 @@ func (s *Machine) refreshSpan() {
 	s.spanValid = true
 	idle := s.Sched.Quiescent()
 	if idle {
-		copy(s.freqMHz, s.cpuMin)
+		for cpu, f := range s.cpuMin {
+			if s.freqMHz[cpu] != f {
+				s.freqMHz[cpu] = f
+				s.freqGen++
+			}
+		}
 	}
 	s.spanIdle = idle
 }
@@ -359,13 +372,13 @@ func (s *Machine) idleTick(balance, dvfs bool, dt float64) {
 	now := s.now
 	if balance {
 		s.Sched.Tick(now)
-		s.nextBalance = s.clampFuture(s.Sched.NextBalanceSec())
+		s.nextBalance = s.Sched.NextBalanceSec()
 	}
 	s.Power.Step(s.idleCoresW, dt)
 	s.Thermal.Step(s.Power.PkgPowerW(), dt)
 	if dvfs {
 		s.Governor.Update(now, s.Power.PkgPowerW(), s.Power.CapW(), s.Thermal.TempC())
-		s.nextDVFS = s.clampFuture(s.Governor.NextUpdateSec())
+		s.nextDVFS = s.Governor.NextUpdateSec()
 	}
 	s.now = now + dt
 	s.Kernel.Advance(s.now)
@@ -379,7 +392,7 @@ func (s *Machine) busyTick(balance, dvfs bool, dt float64) {
 	now := s.now
 	s.Sched.Tick(now)
 	if balance {
-		s.nextBalance = s.clampFuture(s.Sched.NextBalanceSec())
+		s.nextBalance = s.Sched.NextBalanceSec()
 	}
 
 	// Determine per-CPU occupancy to pick frequencies and SMT factors.
@@ -414,7 +427,10 @@ func (s *Machine) busyTick(balance, dvfs bool, dt float64) {
 			}
 			freq = s.tgtFreq[ti]
 		}
-		s.freqMHz[cpu] = freq
+		if s.freqMHz[cpu] != freq {
+			s.freqMHz[cpu] = freq
+			s.freqGen++
+		}
 		phys := s.physOf[cpu]
 		if freq > s.coreFreq[phys] {
 			s.coreFreq[phys] = freq
@@ -464,22 +480,10 @@ func (s *Machine) busyTick(balance, dvfs bool, dt float64) {
 	s.Thermal.Step(s.Power.PkgPowerW(), dt)
 	s.Governor.Update(now, s.Power.PkgPowerW(), s.Power.CapW(), s.Thermal.TempC())
 	if dvfs {
-		s.nextDVFS = s.clampFuture(s.Governor.NextUpdateSec())
+		s.nextDVFS = s.Governor.NextUpdateSec()
 	}
 	s.now = now + dt
 	s.Kernel.Advance(s.now)
-}
-
-// clampFuture keeps a re-armed deadline at or after the end of the
-// current tick, so a stored deadline never lies behind the clock. A
-// deadline falls due up to one tick early; a subsystem whose own
-// boundary comparison has not passed yet reports a boundary inside this
-// tick, and the clamp moves it to the next.
-func (s *Machine) clampFuture(at float64) float64 {
-	if min := s.now + s.cfg.TickSec; at < min {
-		return min
-	}
-	return at
 }
 
 // RunFor advances the simulation by the given number of seconds.
