@@ -3,7 +3,9 @@ package main
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -38,6 +40,19 @@ func TestCLIReportReproducible(t *testing.T) {
 	}
 	if len(rep.Results) != 0 {
 		t.Fatal("per-machine results included without -results")
+	}
+}
+
+// TestCLIFleetReportPinned pins the bytes of the streamed fleet report,
+// part of the behavioural contract: the 128-machine seed-7 fleet must
+// render this digest at every worker count.
+func TestCLIFleetReportPinned(t *testing.T) {
+	const want = "38cd8ed18cfb786f4863458cd326a9b9da962a317db5029dd0b583bda06c1964"
+	for _, workers := range []string{"1", "4"} {
+		out, _ := runCLI(t, "-n", "128", "-seed", "7", "-stream", "-workers", workers, "-quiet")
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(out))); got != want {
+			t.Errorf("-workers %s: report sha256 %s, want %s", workers, got, want)
+		}
 	}
 }
 

@@ -33,6 +33,7 @@ import (
 	"path/filepath"
 
 	"hetpapi/internal/calibration"
+	"hetpapi/internal/hw"
 	"hetpapi/internal/validate"
 )
 
@@ -66,13 +67,9 @@ func sourcesFor(model string) ([]validate.ModelSource, error) {
 	if model == "all" || model == "" {
 		return validate.StandardSources(), nil
 	}
-	src, ok := validate.SourceFor(model)
-	if !ok {
-		var names []string
-		for _, s := range validate.StandardSources() {
-			names = append(names, s.Name)
-		}
-		return nil, fmt.Errorf("unknown model %q (have %v, or \"all\")", model, names)
+	src, err := hw.LookupModel(model)
+	if err != nil {
+		return nil, fmt.Errorf("%w, or \"all\"", err)
 	}
 	return []validate.ModelSource{src}, nil
 }
@@ -196,9 +193,9 @@ func cmdCalibrate(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	src, ok := validate.SourceFor(*model)
-	if !ok {
-		return fmt.Errorf("unknown model %q", *model)
+	src, err := hw.LookupModel(*model)
+	if err != nil {
+		return err
 	}
 	targets, err := calibration.MeasureTargets(src.Name, src.Make)
 	if err != nil {

@@ -46,33 +46,15 @@ func main() {
 }
 
 func run(machineName, variant, coresFlag string, n, nb, nRuns int, settle, hz float64, seed int64) error {
-	build := func() (*hw.Machine, workload.Strategy, int, int, error) {
-		switch machineName {
-		case "raptorlake":
-			var strat workload.Strategy
-			switch variant {
-			case "openblas":
-				strat = workload.OpenBLASx86()
-			case "intel":
-				strat = workload.IntelMKL()
-			default:
-				return nil, workload.Strategy{}, 0, 0, fmt.Errorf("unknown variant %q", variant)
-			}
-			defN, defNB := 57024, 192
-			return hw.RaptorLake(), strat, defN, defNB, nil
-		case "orangepi800":
-			if variant != "openblas" {
-				return nil, workload.Strategy{}, 0, 0, fmt.Errorf("the OrangePi only has the OpenBLAS build")
-			}
-			return hw.OrangePi800(), workload.OpenBLASArm(), 16384, 128, nil
-		default:
-			return nil, workload.Strategy{}, 0, 0, fmt.Errorf("unknown machine %q", machineName)
-		}
-	}
-	m, strat, defN, defNB, err := build()
+	model, err := hw.LookupModel(machineName)
 	if err != nil {
 		return err
 	}
+	strat, defN, defNB, err := hplBuild(machineName, variant)
+	if err != nil {
+		return err
+	}
+	m := model.Make()
 	if n == 0 {
 		n = defN
 	}
@@ -101,8 +83,7 @@ func run(machineName, variant, coresFlag string, n, nb, nRuns int, settle, hz fl
 		// Fresh machine per run; the settle protocol is modeled by
 		// starting each run from a settled (ambient) package, like the
 		// paper's wait-for-35C loop.
-		machine, _, _, _, _ := build()
-		res, err := exp.RunHPL(machine, strat, cpus, n, nb, seed+int64(r))
+		res, err := exp.RunHPL(model.Make(), strat, cpus, n, nb, seed+int64(r))
 		if err != nil {
 			return err
 		}
@@ -118,6 +99,27 @@ func run(machineName, variant, coresFlag string, n, nb, nRuns int, settle, hz fl
 	fmt.Fprintf(os.Stderr, "monhpl: mean %.2f Gflops (stddev %.2f) over %d run(s)\n",
 		stats.Mean(gflops), stats.Stddev(gflops), nRuns)
 	return nil
+}
+
+// hplBuild picks the HPL build the paper ran on a machine model, with
+// its default problem and block sizes.
+func hplBuild(machineName, variant string) (workload.Strategy, int, int, error) {
+	switch machineName {
+	case "raptorlake":
+		switch variant {
+		case "openblas":
+			return workload.OpenBLASx86(), 57024, 192, nil
+		case "intel":
+			return workload.IntelMKL(), 57024, 192, nil
+		}
+		return workload.Strategy{}, 0, 0, fmt.Errorf("unknown variant %q", variant)
+	case "orangepi800":
+		if variant != "openblas" {
+			return workload.Strategy{}, 0, 0, fmt.Errorf("the OrangePi only has the OpenBLAS build")
+		}
+		return workload.OpenBLASArm(), 16384, 128, nil
+	}
+	return workload.Strategy{}, 0, 0, fmt.Errorf("no HPL build for machine %q (have raptorlake, orangepi800)", machineName)
 }
 
 // resample keeps every k-th sample to approximate a non-1 Hz polling rate

@@ -38,21 +38,6 @@ import (
 	"hetpapi/internal/workload"
 )
 
-func machineByName(name string) (*hw.Machine, error) {
-	switch name {
-	case "raptorlake":
-		return hw.RaptorLake(), nil
-	case "orangepi800":
-		return hw.OrangePi800(), nil
-	case "homogeneous":
-		return hw.Homogeneous(), nil
-	case "dimensity9000":
-		return hw.Dimensity9000(), nil
-	default:
-		return nil, fmt.Errorf("unknown machine %q (want raptorlake, orangepi800, dimensity9000 or homogeneous)", name)
-	}
-}
-
 func main() {
 	machineFlag := flag.String("machine", "raptorlake", "machine model to simulate")
 	legacyFlag := flag.Bool("legacy", false, "run in PAPI 7.1 compatibility mode (no hybrid support)")
@@ -77,10 +62,11 @@ func main() {
 }
 
 func run(machineName string, legacy bool, command string) error {
-	m, err := machineByName(machineName)
+	model, err := hw.LookupModel(machineName)
 	if err != nil {
 		return err
 	}
+	m := model.Make()
 	s := sim.New(m, sim.DefaultConfig())
 	lib, err := core.Init(s, core.Options{Legacy: legacy})
 	if err != nil {
@@ -225,10 +211,11 @@ func runCost(machineName string) error {
 // runMeasure is the papi_command_line equivalent: caliper a workload with
 // an arbitrary list of presets and native events.
 func runMeasure(machineName string, legacy bool, eventsList, wl string) error {
-	m, err := machineByName(machineName)
+	model, err := hw.LookupModel(machineName)
 	if err != nil {
 		return err
 	}
+	m := model.Make()
 	s := sim.New(m, sim.DefaultConfig())
 	lib, err := core.Init(s, core.Options{Legacy: legacy})
 	if err != nil {

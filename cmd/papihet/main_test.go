@@ -88,8 +88,9 @@ func TestUnknownInputs(t *testing.T) {
 }
 
 func TestNativeCommandUnknownMachineError(t *testing.T) {
-	if _, err := machineByName("dimensity"); err == nil {
-		t.Error("machineByName must reject unknown names")
+	err := run("dimensity", false, "native")
+	if err == nil || !strings.Contains(err.Error(), "dimensity9000") {
+		t.Errorf("an unknown machine must fail with the list of models, got %v", err)
 	}
 }
 

@@ -42,19 +42,11 @@ func main() {
 }
 
 func run(machineName, wl string, seconds float64, coresFlag string, samplePeriod uint64) error {
-	var m *hw.Machine
-	switch machineName {
-	case "raptorlake":
-		m = hw.RaptorLake()
-	case "orangepi800":
-		m = hw.OrangePi800()
-	case "homogeneous":
-		m = hw.Homogeneous()
-	case "dimensity9000":
-		m = hw.Dimensity9000()
-	default:
-		return fmt.Errorf("unknown machine %q", machineName)
+	model, err := hw.LookupModel(machineName)
+	if err != nil {
+		return err
 	}
+	m := model.Make()
 	s := sim.New(m, sim.DefaultConfig())
 
 	affinity := hw.AllCPUs(m)

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	sysreport [-machine raptorlake|orangepi800|homogeneous] [-tree]
+//	sysreport [-machine raptorlake|orangepi800|dimensity9000|homogeneous] [-tree]
 package main
 
 import (
@@ -30,25 +30,17 @@ func main() {
 }
 
 func run(machineName string, tree bool) error {
-	var m *hw.Machine
-	switch machineName {
-	case "raptorlake":
-		m = hw.RaptorLake()
-	case "orangepi800":
-		m = hw.OrangePi800()
-	case "homogeneous":
-		m = hw.Homogeneous()
-	case "dimensity9000":
-		m = hw.Dimensity9000()
-	default:
-		return fmt.Errorf("unknown machine %q", machineName)
+	model, err := hw.LookupModel(machineName)
+	if err != nil {
+		return err
 	}
-	s := sim.New(m, sim.DefaultConfig())
+	m := model.Make()
+	fsys := sysfs.New(m, sim.New(m, sim.DefaultConfig()))
 
 	fmt.Printf("machine: %s (%s)\n\n", m.Name, m.CPUModel)
 
 	fmt.Println("PMUs found by scanning sys/devices (the perf tool's method):")
-	pmus, err := sysfs.DetectPMUs(s.FS)
+	pmus, err := sysfs.DetectPMUs(fsys)
 	if err != nil {
 		return err
 	}
@@ -68,7 +60,7 @@ func run(machineName string, tree bool) error {
 		{"proc/cpuinfo", sysfs.DetectByCPUInfo},
 		{"max frequency", sysfs.DetectByMaxFreq},
 	} {
-		groups, err := st.fn(s.FS)
+		groups, err := st.fn(fsys)
 		if err != nil {
 			fmt.Printf("  %-14s: unavailable (%v)\n", st.name, err)
 			continue
@@ -82,7 +74,7 @@ func run(machineName string, tree bool) error {
 
 	fmt.Println("CPUID hybrid leaf (Intel only):")
 	for cpu := 0; cpu < m.NumCPUs(); cpu++ {
-		ct, ok := s.FS.CPUIDHybrid(cpu)
+		ct, ok := fsys.CPUIDHybrid(cpu)
 		if !ok {
 			fmt.Println("  not available on this machine")
 			break
@@ -95,14 +87,14 @@ func run(machineName string, tree bool) error {
 
 	if tree {
 		fmt.Println("synthetic tree:")
-		err := fs.WalkDir(s.FS, ".", func(p string, d fs.DirEntry, err error) error {
+		err := fs.WalkDir(fsys, ".", func(p string, d fs.DirEntry, err error) error {
 			if err != nil {
 				return err
 			}
 			if d.IsDir() {
 				return nil
 			}
-			content, _ := s.FS.ReadFile(p)
+			content, _ := fsys.ReadFile(p)
 			if len(content) > 60 {
 				content = content[:57] + "..."
 			}

@@ -4,7 +4,7 @@ import (
 	"math"
 	"testing"
 
-	"hetpapi/internal/validate"
+	"hetpapi/internal/hw"
 )
 
 // TestFitRecoversPerturbedModel is the package's acceptance gate: measure
@@ -16,9 +16,9 @@ func TestFitRecoversPerturbedModel(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			src, ok := validate.SourceFor(name)
-			if !ok {
-				t.Fatalf("unknown model %q", name)
+			src, err := hw.LookupModel(name)
+			if err != nil {
+				t.Fatal(err)
 			}
 			targets, err := MeasureTargets(src.Name, src.Make)
 			if err != nil {
@@ -60,7 +60,7 @@ func TestFitRecoversPerturbedModel(t *testing.T) {
 // TestMeasureTargetsDeterministic: the published-target measurement must
 // be a pure function of the model.
 func TestMeasureTargetsDeterministic(t *testing.T) {
-	src, _ := validate.SourceFor("dimensity9000")
+	src, _ := hw.LookupModel("dimensity9000")
 	a, err := MeasureTargets(src.Name, src.Make)
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +82,7 @@ func TestMeasureTargetsDeterministic(t *testing.T) {
 // TestPerturbDeterministicAndBounded: same seed, same machine; factors
 // stay in the documented band and the efficiency stays legal.
 func TestPerturbDeterministicAndBounded(t *testing.T) {
-	src, _ := validate.SourceFor("raptorlake")
+	src, _ := hw.LookupModel("raptorlake")
 	m := src.Make()
 	a, b := Perturb(m, 7), Perturb(m, 7)
 	for i := range a.Types {

@@ -202,9 +202,10 @@ type SysDetectResult struct {
 	Groups []sysfs.Group
 }
 
-// SysDetect runs the detection heuristics against the machine's sysfs.
+// SysDetect runs the detection heuristics against the machine's sysfs
+// tree, built for the call.
 func (l *Library) SysDetect() (SysDetectResult, error) {
-	groups, strategy, err := sysfs.DetectCoreTypes(l.sys.FS)
+	groups, strategy, err := sysfs.DetectCoreTypes(sysfs.New(l.sys.HW, l.sys))
 	if err != nil {
 		return SysDetectResult{}, err
 	}

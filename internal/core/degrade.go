@@ -384,20 +384,12 @@ func (es *EventSet) buildValues(dst []Value) []Value {
 	}
 	for idx := range es.entries {
 		e := &es.entries[idx]
-		var rawSum, scaledSum float64
+		rawSum, scaledSum := es.sums(e, scaling)
 		var maxEn, maxRun float64
 		hwNatives, staleNatives := 0, 0
 		for i := range e.natives {
 			sl := &es.slots[e.first+i]
 			c := sl.count
-			raw := float64(c.Value) + sl.carry
-			sc := raw
-			if scaling {
-				sc = float64(c.Scaled()) + sl.carry
-			}
-			sign := e.signOf(i)
-			rawSum += sign * raw
-			scaledSum += sign * sc
 			if sl.hw {
 				hwNatives++
 				switch {

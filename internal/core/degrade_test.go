@@ -298,3 +298,69 @@ func TestHotplugRebuildCarriesValue(t *testing.T) {
 		t.Fatalf("%d fds leaked after rebuild + cleanup", s.Kernel.NumOpen())
 	}
 }
+
+// TestPlainReadsCarryAcrossHotplugRebuild: Read, ReadFast and Stop (the
+// plain PAPI_read and PAPI_stop) must report a hotplug-killed counter's
+// carried count, and a rebuild must carry what they last read.
+func TestPlainReadsCarryAcrossHotplugRebuild(t *testing.T) {
+	s := newSim(hw.RaptorLake())
+	l := initLib(t, s, Options{})
+
+	loop := workload.NewInstructionLoop("hotplugged", 1e9, 2000)
+	p := s.Spawn(loop, hw.AllCPUs(s.HW))
+	es := l.CreateEventSet()
+	es.Attach(p.PID)
+	if err := es.AddNamed("adl_glc::INST_RETIRED:ANY"); err != nil {
+		t.Fatal(err)
+	}
+	if err := es.AddNamed("rapl::ENERGY_PKG"); err != nil {
+		t.Fatal(err)
+	}
+	if err := es.Start(); err != nil {
+		t.Fatal(err)
+	}
+	s.RunFor(0.3)
+	before, err := es.Read()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if before[1] == 0 {
+		t.Fatal("no package energy before hotplug")
+	}
+
+	// RAPL descriptors live on cpu0; kill it. ReadValues rebuilds.
+	s.SetCPUOnline(0, false)
+	s.RunFor(0.3)
+	vals, err := es.ReadValues()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := es.Degradations(); r.HotplugRebuilds != 1 {
+		t.Fatalf("HotplugRebuilds = %d, want 1", r.HotplugRebuilds)
+	}
+	if vals[1].Final < before[1] {
+		t.Fatalf("rebuild dropped the energy Read reported: %d then %d", before[1], vals[1].Final)
+	}
+	after, err := es.Read()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after[1] < before[1] {
+		t.Fatalf("Read after the rebuild lost the carried energy: %d then %d", before[1], after[1])
+	}
+	fast, err := es.ReadFast()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fast[1] < after[1] {
+		t.Fatalf("ReadFast after the rebuild lost the carried energy: %d then %d", after[1], fast[1])
+	}
+	s.RunFor(0.1)
+	final, err := es.Stop()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final[1] < fast[1] {
+		t.Fatalf("Stop after the rebuild lost the carried energy: %d then %d", fast[1], final[1])
+	}
+}

@@ -83,8 +83,9 @@ type slot struct {
 	// carry is the count accumulated by predecessors of fd that hotplug
 	// killed.
 	carry float64
-	// lastValue is fd's value at the last successful degradation-aware
-	// read (0 before the first, and after Reset or a rebuild).
+	// lastValue is fd's value at the last successful read, plain or
+	// degradation-aware (0 before the first, and after Reset or a
+	// rebuild): the count a rebuild carries forward.
 	lastValue uint64
 	// lastTimes snapshots fd's times at the last such read; seen says
 	// whether there is a snapshot to compare against.
@@ -441,23 +442,40 @@ func (es *EventSet) collect(fast bool) ([]uint64, error) {
 	if err != nil {
 		return nil, err
 	}
+	scaling := es.muxActive()
 	out := make([]uint64, 0, len(es.entries))
-	for _, e := range es.entries {
-		var sum float64
-		for i := range e.natives {
-			c := es.slots[e.first+i].count
-			v := c.Value
-			if es.muxActive() {
-				v = c.Scaled()
-			}
-			sum += e.signOf(i) * float64(v)
+	for i := range es.entries {
+		sum, scaled := es.sums(&es.entries[i], scaling)
+		if scaling {
+			sum = scaled
 		}
 		if sum < 0 {
 			sum = 0 // derived subtraction can transiently undershoot
 		}
 		out = append(out, uint64(sum))
 	}
+	for i := range es.slots {
+		es.slots[i].lastValue = es.slots[i].count.Value
+	}
 	return out, nil
+}
+
+// sums returns entry e's signed raw and, when scaling, time-scaled
+// totals over its natives' latest counts, each native's carry included.
+// Without scaling the two are equal.
+func (es *EventSet) sums(e *entry, scaling bool) (raw, scaled float64) {
+	for i := range e.natives {
+		sl := &es.slots[e.first+i]
+		r := float64(sl.count.Value) + sl.carry
+		sc := r
+		if scaling {
+			sc = float64(sl.count.Scaled()) + sl.carry
+		}
+		sign := e.signOf(i)
+		raw += sign * r
+		scaled += sign * sc
+	}
+	return raw, scaled
 }
 
 // readAll reads every group into its slots' count scratch: one read

@@ -652,7 +652,8 @@ func (k *Kernel) Read(fd int) (c Count, err error) {
 // due at the kernel clock, two equal nonzero Seq values mean the same
 // Read value and error. Advance applies every transition due at the new
 // time, so the precondition holds until the next Advance unless a plan
-// is attached in between; the simulator's step hooks run in that window.
+// is attached in between; the simulator's step hooks and the scenario
+// harness's per-tick stages run in that window.
 //
 // Seq is not a syscall: it counts none, polls no faults and traces
 // nothing, like a reader checking perf_event_mmap_page's lock word.

@@ -124,7 +124,6 @@ func TestBufferPressureWidensBound(t *testing.T) {
 	}
 
 	squeezed := refSpec(t, "raptorlake-hpl-pcores")
-	squeezed.VerifyDeterminism = false
 	squeezed.Injects = append(append([]scenario.Inject(nil), squeezed.Injects...),
 		scenario.Inject{AtSec: 0.2, Kind: scenario.InjectBufferPressure, Cap: 2})
 	_, prof, col := profiledRun(t, squeezed, Config{})

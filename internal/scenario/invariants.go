@@ -128,8 +128,8 @@ type readMark struct {
 
 // unchanged reports whether fd is the descriptor last read and the
 // kernel has not updated it since, so that a Read would return the
-// previous result again. Invariants run in a step hook, after Advance
-// has applied every fault transition due at the tick, which is the
+// previous result again. Invariants run after Step, whose Advance has
+// applied every fault transition due at the tick, which is the
 // precondition of Kernel.Seq's guarantee.
 func (r *readMark) unchanged(k *perfevent.Kernel, fd int) bool {
 	return r.seq != 0 && r.fd == fd && k.Seq(fd) == r.seq

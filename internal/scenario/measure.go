@@ -86,9 +86,9 @@ func newMeasureProbe(s *sim.Machine, ms *MeasureSpec, nworkloads int) (*measureP
 			return nil, fmt.Errorf("measure event %q: %w", name, err)
 		}
 	}
-	// The probe runs inside a step hook: Start must never recurse into
-	// the simulation loop, so in-place EBUSY backoff is disabled and the
-	// probe retries across ticks instead.
+	// The probe is a stage of the harness's run loop: Start must never
+	// step the machine itself, so in-place EBUSY backoff is disabled and
+	// the probe retries across ticks instead.
 	es.SetStartRetry(-1)
 	return &measureProbe{
 		lib:   lib,

@@ -36,13 +36,14 @@ import (
 )
 
 // Machines maps the spec-addressable machine model names to their
-// constructors. All presets of internal/hw are registered.
-var Machines = map[string]func() *hw.Machine{
-	"raptorlake":    hw.RaptorLake,
-	"orangepi800":   hw.OrangePi800,
-	"dimensity9000": hw.Dimensity9000,
-	"homogeneous":   hw.Homogeneous,
-}
+// constructors: every preset of hw.Models.
+var Machines = func() map[string]func() *hw.Machine {
+	m := make(map[string]func() *hw.Machine, len(hw.Models))
+	for _, md := range hw.Models {
+		m[md.Name] = md.Make
+	}
+	return m
+}()
 
 // WorkloadKind selects a workload model.
 type WorkloadKind string
@@ -224,10 +225,6 @@ type Spec struct {
 	// false unless every workload had already finished). It is how a
 	// long-running service cancels an in-flight scenario on shutdown.
 	Stop func() bool
-	// VerifyDeterminism makes Run execute the scenario twice on fresh
-	// machines and fail unless both runs digest identically. Ignored by
-	// RunOn (a warm machine is not reproducible from the spec alone).
-	VerifyDeterminism bool
 }
 
 // Clone returns a deep copy of the spec that shares no mutable slices
@@ -362,8 +359,6 @@ type Result struct {
 	// Violations lists every invariant failure (at most one per
 	// invariant; checking stops for an invariant once it has failed).
 	Violations []Violation
-	// DeterminismVerified reports that VerifyDeterminism ran and passed.
-	DeterminismVerified bool
 }
 
 // computeDigest hashes everything a golden trace pins: the full monitoring
@@ -427,30 +422,11 @@ type StepHook func(*Context)
 // built, or any invariant was violated; the Result is returned alongside
 // the error whenever the run itself happened.
 func Run(spec Spec) (*Result, error) {
-	res, err := runFresh(spec)
-	if err != nil {
-		return res, err
-	}
-	if spec.VerifyDeterminism {
-		again, err := runFresh(spec)
-		if err != nil {
-			return res, fmt.Errorf("scenario %q: determinism re-run: %w", spec.Name, err)
-		}
-		if again.Digest != res.Digest {
-			return res, fmt.Errorf("scenario %q: nondeterministic: digest %s vs %s on identical specs",
-				spec.Name, res.Digest[:12], again.Digest[:12])
-		}
-		res.DeterminismVerified = true
-	}
-	return res, res.Err()
-}
-
-func runFresh(spec Spec) (*Result, error) {
 	s, err := Boot(spec)
 	if err != nil {
 		return nil, err
 	}
-	return runOn(s, spec)
+	return RunOn(s, spec)
 }
 
 // Boot builds and boots the spec's machine without running the scenario,
@@ -487,8 +463,7 @@ func Boot(spec Spec) (*sim.Machine, error) {
 
 // RunOn executes the scenario on an already-booted (possibly warm)
 // machine. The spec's Machine/TickSec/Sched/DVFS fields are ignored — the
-// machine's own configuration governs — and VerifyDeterminism is not
-// supported because the starting state is not reproducible from the spec.
+// machine's own configuration governs.
 func RunOn(s *sim.Machine, spec Spec) (*Result, error) {
 	res, err := runOn(s, spec)
 	if err != nil {
@@ -692,31 +667,33 @@ func runOn(s *sim.Machine, spec Spec) (*Result, error) {
 		ctx.Procs = append(ctx.Procs, sw.procs...)
 	}
 
-	// The per-tick work is a fixed pipeline of hooks sharing one Context:
-	// the measurement probe first (so the audit and every observer see
-	// this tick's fresh reading), then the invariant audit (against the
-	// tick that just completed), then every spec-registered observer
-	// (telemetry collectors, probes) in order, then the control hook that
-	// applies injections and delayed spawns — those configure the NEXT
-	// tick (the scheduler enforces new affinity masks and the governor
-	// applies new caps at its next pass, so checking or sampling this
-	// tick against them would be wrong).
-	audit := func(ctx *Context) {
-		now := ctx.Sim.Now() - start
+	// The harness owns the run loop. After each Step, inside which any
+	// sim.StepHook observers have already run, it runs a fixed pipeline
+	// of stages sharing one Context: the measurement probe first (so the
+	// audit and every observer see this tick's fresh reading), then the
+	// invariant audit (against the tick that just completed), then every
+	// spec-registered StepHook (telemetry samplers, probes) in order,
+	// then control, which applies injections and delayed spawns, and
+	// last the trace recorder's poll. Control configures the NEXT tick
+	// (the scheduler enforces new affinity masks and the governor
+	// applies new caps at its next pass), so checking or sampling this
+	// tick against it would be wrong.
+	audit := func() {
+		now := s.Now() - start
 		// The integral accumulates the same P*dt terms the power model
 		// integrates, making energy conservation an exact bookkeeping
 		// identity to check against.
-		ctx.PowerIntegralJ += ctx.Sim.Power.PkgPowerW() * ctx.Sim.Tick()
+		ctx.PowerIntegralJ += s.Power.PkgPowerW() * s.Tick()
 		for i, inv := range invariants {
 			if !failed[owner[i]] {
 				report(now, i, inv.Check(ctx))
 			}
 		}
-		ctx.PrevNowSec = ctx.Sim.Now()
+		ctx.PrevNowSec = s.Now()
 	}
 	nextInject := 0
-	control := func(ctx *Context) {
-		s, now := ctx.Sim, ctx.Sim.Now()-start
+	control := func() {
+		now := s.Now() - start
 		for nextInject < len(injects) && injects[nextInject].AtSec <= now {
 			apply(s, workloads, wide, injects[nextInject])
 			nextInject++
@@ -733,22 +710,6 @@ func runOn(s *sim.Machine, spec Spec) (*Result, error) {
 			}
 		}
 	}
-	hooks := make([]StepHook, 0, len(spec.StepHooks)+3)
-	if probe != nil {
-		hooks = append(hooks, func(ctx *Context) {
-			probe.step(ctx.Sim.Now()-start, workloads[spec.Measure.Workload])
-		})
-	}
-	hooks = append(hooks, audit)
-	hooks = append(hooks, spec.StepHooks...)
-	hooks = append(hooks, control)
-	remove := s.AddStepHook(func(*sim.Machine) {
-		for _, h := range hooks {
-			h(ctx)
-		}
-	})
-	defer remove()
-
 	allDone := func() bool {
 		for _, sw := range workloads {
 			if !sw.done() {
@@ -757,15 +718,29 @@ func runOn(s *sim.Machine, spec Spec) (*Result, error) {
 		}
 		return len(workloads) > 0
 	}
-	cond := func() bool {
+
+	rec := trace.NewRecorder(s, period)
+	deadline := s.Now() + maxSec
+	for {
 		if spec.Stop != nil && spec.Stop() {
 			res.Stopped = true
-			return true
+			break
 		}
-		return allDone()
+		if allDone() || s.Now() >= deadline {
+			break
+		}
+		s.Step()
+		if probe != nil {
+			probe.step(s.Now()-start, workloads[spec.Measure.Workload])
+		}
+		audit()
+		for _, h := range spec.StepHooks {
+			h(ctx)
+		}
+		control()
+		rec.Poll()
 	}
-	rec := trace.NewRecorder(s, period)
-	res.Completed = rec.RunUntil(cond, maxSec) && allDone()
+	res.Completed = allDone()
 	res.ElapsedSec = s.Now() - start
 	res.Samples = rec.Samples()
 	res.Summary = trace.Summarize(res.Samples)

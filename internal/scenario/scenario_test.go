@@ -42,30 +42,6 @@ func TestReferenceScenariosClean(t *testing.T) {
 	}
 }
 
-func TestVerifyDeterminism(t *testing.T) {
-	spec := scenario.Spec{
-		Name:            "det",
-		Machine:         "dimensity9000",
-		Seed:            7,
-		MaxSeconds:      4,
-		SamplePeriodSec: 0.25,
-		Workloads: []scenario.WorkloadSpec{
-			// Unpinned on a hybrid machine: placement flows through the
-			// scheduler's seeded perturbation, the hardest case to keep
-			// reproducible.
-			{Kind: scenario.WorkloadLoop, Name: "roam", InstrPerRep: 1e6, Reps: 2000},
-		},
-		VerifyDeterminism: true,
-	}
-	res, err := scenario.Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.DeterminismVerified {
-		t.Error("DeterminismVerified not set after a verified run")
-	}
-}
-
 func TestSeedChangesSchedule(t *testing.T) {
 	run := func(seed int64) string {
 		t.Helper()

@@ -28,7 +28,8 @@ func traceDigest(t *testing.T, seed int64) (string, float64) {
 	loop := workload.NewInstructionLoop("roam", 1e6, 4000)
 	s.Spawn(loop, hw.AllCPUs(m))
 	rec := trace.NewRecorder(s, 0.25)
-	if !rec.RunUntil(loop.Done, 60) {
+	defer s.AddStepHook(func(*sim.Machine) { rec.Poll() })()
+	if !s.RunUntil(loop.Done, 60) {
 		t.Fatal("loop did not finish")
 	}
 	return trace.DigestSamples(m.NumCPUs(), rec.Samples()), s.Now()

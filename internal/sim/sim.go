@@ -1,7 +1,9 @@
 // Package sim is the machine simulator: it wires the hardware
 // description, the scheduler, the workloads, the DVFS governor, the
-// power and thermal models, the perf_event kernel and the synthetic
-// sysfs tree into a single stepped system.
+// power and thermal models and the perf_event kernel into a single
+// stepped system. Its sysfs.Live methods supply the values the synthetic
+// sysfs tree renders; callers that walk the tree build it with
+// sysfs.New(s.HW, s).
 //
 // Time advances in fixed ticks (1 ms by default) and every observable
 // boundary — StepHooks, monitoring samples, scheduler decisions — sits on
@@ -37,7 +39,6 @@ import (
 	"hetpapi/internal/power"
 	"hetpapi/internal/sched"
 	"hetpapi/internal/spantrace"
-	"hetpapi/internal/sysfs"
 	"hetpapi/internal/thermal"
 	"hetpapi/internal/workload"
 )
@@ -79,8 +80,6 @@ type Machine struct {
 	Power *power.Model
 	// Thermal is the package thermal zone.
 	Thermal *thermal.Model
-	// FS is the live-backed synthetic sysfs/procfs tree.
-	FS *sysfs.FS
 
 	cfg     Config
 	now     float64
@@ -131,10 +130,12 @@ type Machine struct {
 }
 
 // StepHook observes the machine after each completed tick. Hooks run in
-// registration order with the machine in a consistent post-tick state
-// (Now() already advanced); they are how external harnesses check
-// invariants, inject faults and schedule work without owning the step
-// loop. Hooks fire at every tick boundary.
+// registration order, inside Step, with the machine in a consistent
+// post-tick state (Now() already advanced). They are for external
+// observers that do not own the run loop, such as the sampling profiler
+// and benchmark timers. The scenario harness does not use them: it
+// steps the machine itself and runs its stages after Step returns, so
+// every hook sees a tick before the harness does.
 type StepHook func(*Machine)
 
 // hookEntry is one registered StepHook. Removal nils h; the slice is
@@ -184,7 +185,6 @@ func New(m *hw.Machine, cfg Config) *Machine {
 		}
 		return phase, s.freqMHz[cpu]
 	}
-	s.FS = sysfs.New(m, s)
 	s.nextBalance = s.Sched.NextBalanceSec()
 	s.nextDVFS = s.Governor.NextUpdateSec()
 	return s
@@ -236,12 +236,13 @@ func (s *Machine) SetCPUOnline(cpu int, online bool) {
 	s.Kernel.SetCPUOnline(cpu, online)
 }
 
-// AddStepHook registers a hook called at the end of every Step and returns
-// a function that unregisters it. Harnesses that attach to a machine for
-// one run of many (the settle-between-runs protocol reuses a warm machine)
-// must remove their hooks when done. Removal compacts the hook list, so
-// attach/detach cycles do not grow it; the remove function is idempotent
-// and safe to call from inside a hook dispatch.
+// AddStepHook registers an external observer called at the end of every
+// Step and returns a function that unregisters it. Observers that attach
+// to a machine for one run of many (the settle-between-runs protocol
+// reuses a warm machine) must remove their hooks when done. Removal
+// compacts the hook list, so attach/detach cycles do not grow it; the
+// remove function is idempotent and safe to call from inside a hook
+// dispatch.
 func (s *Machine) AddStepHook(h StepHook) (remove func()) {
 	e := &hookEntry{h: h}
 	s.stepHooks = append(s.stepHooks, e)

@@ -9,6 +9,7 @@ import (
 	"hetpapi/internal/hw"
 	"hetpapi/internal/perfevent"
 	"hetpapi/internal/power"
+	"hetpapi/internal/sysfs"
 	"hetpapi/internal/workload"
 )
 
@@ -276,18 +277,19 @@ func TestLiveSysfsValues(t *testing.T) {
 	s := New(m, DefaultConfig())
 	s.Spawn(workload.NewSpin("x", 10), hw.NewCPUSet(0))
 	s.RunFor(1)
-	freq, err := s.FS.ReadFile("sys/devices/system/cpu/cpu0/cpufreq/scaling_cur_freq")
+	fsys := sysfs.New(m, s)
+	freq, err := fsys.ReadFile("sys/devices/system/cpu/cpu0/cpufreq/scaling_cur_freq")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if freq == "800000" {
 		t.Error("busy cpu0 should not sit at min frequency")
 	}
-	uj, _ := s.FS.ReadFile("sys/class/powercap/intel-rapl:0/energy_uj")
+	uj, _ := fsys.ReadFile("sys/class/powercap/intel-rapl:0/energy_uj")
 	if uj == "0" {
 		t.Error("energy_uj should have accumulated")
 	}
-	temp, _ := s.FS.ReadFile("sys/class/thermal/thermal_zone9/temp")
+	temp, _ := fsys.ReadFile("sys/class/thermal/thermal_zone9/temp")
 	if temp == "25000" {
 		t.Error("zone temp should have risen")
 	}

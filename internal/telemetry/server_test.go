@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"hetpapi/internal/fleet"
+	"hetpapi/internal/hw"
 	"hetpapi/internal/profile"
 	"hetpapi/internal/scenario"
 	"hetpapi/internal/telemetry"
@@ -576,9 +577,9 @@ func TestValidateEndpoint(t *testing.T) {
 		t.Fatalf("no scorecard must 404, got %d", resp.StatusCode)
 	}
 
-	src, ok := validate.SourceFor("homogeneous")
-	if !ok {
-		t.Fatal("homogeneous model missing")
+	src, err := hw.LookupModel("homogeneous")
+	if err != nil {
+		t.Fatal(err)
 	}
 	card, err := validate.BuildScorecard([]validate.ModelSource{src})
 	if err != nil {

@@ -16,9 +16,7 @@ func sampleTrace(t *testing.T) []Sample {
 	t.Helper()
 	s := sim.New(hw.RaptorLake(), sim.DefaultConfig())
 	s.Spawn(workload.NewSpin("w", 10), hw.NewCPUSet(0))
-	r := NewRecorder(s, 1)
-	r.RunUntil(func() bool { return false }, 6)
-	return r.Samples()
+	return record(s, 1, 6).Samples()
 }
 
 func TestCSVRoundTrip(t *testing.T) {

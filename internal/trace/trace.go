@@ -4,18 +4,14 @@
 // while a workload runs, plus the multi-run averaging used to produce the
 // figures.
 //
-// Fidelity note: the recorder reads its values through the machine's
-// synthetic sysfs tree (scaling_cur_freq, thermal_zoneN/temp,
-// intel-rapl:0/energy_uj), exactly the files the paper's Python script
-// polls — not through simulator internals. Wall power (the WattsUpPro on
-// the OrangePi, which has no RAPL) is the one value read from the external
-// meter model.
+// Fidelity note: the recorder reads the values from sysfs.Live, the exact
+// integers the machine's scaling_cur_freq, thermal_zoneN/temp and
+// intel-rapl:0/energy_uj files render, pinned by the recorder test. Wall
+// power (the WattsUpPro on the OrangePi, which has no RAPL) is the one
+// value read from the external meter model.
 package trace
 
 import (
-	"fmt"
-	"strconv"
-
 	"hetpapi/internal/sim"
 )
 
@@ -39,74 +35,37 @@ type Sample struct {
 	WallW float64
 }
 
-// Recorder polls a machine at a fixed period while stepping the
-// simulation.
+// Recorder samples a machine at a fixed period. It does not step the
+// machine: whoever owns the run loop calls Poll after each Step.
 type Recorder struct {
 	s       *sim.Machine
 	period  float64
 	samples []Sample
 
-	started    bool
 	startTime  float64
 	lastSample float64
 	lastEnergy float64
 }
 
-// NewRecorder returns a recorder polling every periodSec seconds (the
-// paper uses 1 Hz).
+// NewRecorder returns a recorder sampling every periodSec seconds (the
+// paper uses 1 Hz). It takes the first sample at once.
 func NewRecorder(s *sim.Machine, periodSec float64) *Recorder {
 	if periodSec <= 0 {
 		periodSec = 1
 	}
-	return &Recorder{s: s, period: periodSec}
+	r := &Recorder{s: s, period: periodSec, startTime: s.Now()}
+	r.take()
+	return r
 }
 
 // Samples returns the collected samples.
 func (r *Recorder) Samples() []Sample { return r.samples }
 
-// RunUntil steps the simulation until done returns true or maxSeconds
-// elapse, sampling on the way; it reports whether done was reached. The
-// first sample is taken immediately.
-func (r *Recorder) RunUntil(done func() bool, maxSeconds float64) bool {
-	if !r.started {
-		r.started = true
-		r.startTime = r.s.Now()
-		r.lastEnergy = r.readEnergyJ()
+// Poll takes a sample if a period has passed since the last one.
+func (r *Recorder) Poll() {
+	if r.s.Now()-r.lastSample >= r.period-1e-12 {
 		r.take()
-		r.lastSample = r.s.Now()
 	}
-	deadline := r.s.Now() + maxSeconds
-	for r.s.Now() < deadline {
-		if done() {
-			return true
-		}
-		r.s.Step()
-		if r.s.Now()-r.lastSample >= r.period-1e-12 {
-			r.take()
-			r.lastSample = r.s.Now()
-		}
-	}
-	return done()
-}
-
-func (r *Recorder) readSysfsInt(path string) (float64, bool) {
-	raw, err := r.s.FS.ReadFile(path)
-	if err != nil {
-		return 0, false
-	}
-	v, err := strconv.ParseFloat(raw, 64)
-	if err != nil {
-		return 0, false
-	}
-	return v, true
-}
-
-func (r *Recorder) readEnergyJ() float64 {
-	uj, ok := r.readSysfsInt("sys/class/powercap/intel-rapl:0/energy_uj")
-	if !ok {
-		return 0
-	}
-	return uj / 1e6
 }
 
 func (r *Recorder) take() {
@@ -115,18 +74,13 @@ func (r *Recorder) take() {
 		TimeSec: r.s.Now() - r.startTime,
 		FreqMHz: make([]float64, m.NumCPUs()),
 	}
-	for cpu := 0; cpu < m.NumCPUs(); cpu++ {
-		khz, ok := r.readSysfsInt(fmt.Sprintf("sys/devices/system/cpu/cpu%d/cpufreq/scaling_cur_freq", cpu))
-		if ok {
-			smp.FreqMHz[cpu] = khz / 1000
-		}
+	for cpu := range smp.FreqMHz {
+		smp.FreqMHz[cpu] = float64(r.s.CurFreqKHz(cpu)) / 1000
 	}
-	if mc, ok := r.readSysfsInt(fmt.Sprintf("sys/class/thermal/thermal_zone%d/temp", m.Thermal.ZoneIndex)); ok {
-		smp.TempC = mc / 1000
-	}
+	smp.TempC = float64(r.s.ZoneTempMilliC()) / 1000
 	smp.WallW = r.s.Power.WallPowerW()
 	if m.Power.HasRAPL {
-		smp.EnergyJ = r.readEnergyJ()
+		smp.EnergyJ = float64(r.s.EnergyUJ()) / 1e6
 		dt := r.s.Now() - r.lastSample
 		if len(r.samples) > 0 && dt > 0 {
 			smp.PowerW = (smp.EnergyJ - r.lastEnergy) / dt
@@ -138,6 +92,7 @@ func (r *Recorder) take() {
 		smp.PowerW = smp.WallW
 	}
 	r.samples = append(r.samples, smp)
+	r.lastSample = r.s.Now()
 }
 
 // FreqSeries extracts one CPU's frequency series from samples.

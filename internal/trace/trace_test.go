@@ -1,21 +1,32 @@
 package trace
 
 import (
+	"fmt"
 	"math"
+	"strconv"
 	"testing"
 
 	"hetpapi/internal/hw"
 	"hetpapi/internal/sim"
 	"hetpapi/internal/stats"
+	"hetpapi/internal/sysfs"
 	"hetpapi/internal/workload"
 )
+
+// record samples s every periodSec for seconds of simulated time,
+// polling after every Step the way the scenario harness does.
+func record(s *sim.Machine, periodSec, seconds float64) *Recorder {
+	r := NewRecorder(s, periodSec)
+	defer s.AddStepHook(func(*sim.Machine) { r.Poll() })()
+	s.RunUntil(func() bool { return false }, seconds)
+	return r
+}
 
 func TestRecorderSamplesAtPeriod(t *testing.T) {
 	s := sim.New(hw.RaptorLake(), sim.DefaultConfig())
 	spin := workload.NewSpin("w", 100)
 	s.Spawn(spin, hw.NewCPUSet(0))
-	r := NewRecorder(s, 1.0)
-	r.RunUntil(func() bool { return false }, 10.5)
+	r := record(s, 1.0, 10.5)
 	got := len(r.Samples())
 	if got < 10 || got > 12 {
 		t.Fatalf("collected %d samples over 10.5 s at 1 Hz", got)
@@ -31,8 +42,7 @@ func TestRecorderSamplesAtPeriod(t *testing.T) {
 func TestRecorderReadsThroughSysfs(t *testing.T) {
 	s := sim.New(hw.RaptorLake(), sim.DefaultConfig())
 	s.Spawn(workload.NewSpin("w", 100), hw.NewCPUSet(0))
-	r := NewRecorder(s, 0.5)
-	r.RunUntil(func() bool { return false }, 5)
+	r := record(s, 0.5, 5)
 	last := r.Samples()[len(r.Samples())-1]
 	if last.FreqMHz[0] < 800 {
 		t.Errorf("cpu0 freq = %g", last.FreqMHz[0])
@@ -55,8 +65,7 @@ func TestRecorderReadsThroughSysfs(t *testing.T) {
 func TestRecorderOnMachineWithoutRAPL(t *testing.T) {
 	s := sim.New(hw.OrangePi800(), sim.DefaultConfig())
 	s.Spawn(workload.NewSpin("w", 100), hw.NewCPUSet(4))
-	r := NewRecorder(s, 0.5)
-	r.RunUntil(func() bool { return false }, 3)
+	r := record(s, 0.5, 3)
 	last := r.Samples()[len(r.Samples())-1]
 	if last.EnergyJ != 0 {
 		t.Error("no RAPL energy expected on the OrangePi")
@@ -69,16 +78,71 @@ func TestRecorderOnMachineWithoutRAPL(t *testing.T) {
 	}
 }
 
-func TestRunUntilStopsOnDone(t *testing.T) {
-	s := sim.New(hw.RaptorLake(), sim.DefaultConfig())
-	spin := workload.NewSpin("w", 2)
-	s.Spawn(spin, hw.NewCPUSet(0))
-	r := NewRecorder(s, 1)
-	if !r.RunUntil(spin.Done, 60) {
-		t.Fatal("RunUntil missed completion")
-	}
-	if s.Now() > 2.1 {
-		t.Fatalf("ran %g s past the workload", s.Now())
+// TestRecorderMatchesSysfsFiles pins the recorder's fidelity: on every
+// reference model, each sample must equal what the machine's
+// scaling_cur_freq, thermal_zoneN/temp and energy_uj files read at the
+// tick it was taken.
+func TestRecorderMatchesSysfsFiles(t *testing.T) {
+	for _, md := range hw.Models {
+		t.Run(md.Name, func(t *testing.T) {
+			s := sim.New(md.Make(), sim.DefaultConfig())
+			last := s.HW.NumCPUs() - 1
+			// One busy CPU per end of the machine, finishing at
+			// different times, so CPUs, the zone and the energy counter
+			// all move and disagree.
+			s.Spawn(workload.NewSpin("a", 1), hw.NewCPUSet(0))
+			s.Spawn(workload.NewSpin("b", 2), hw.NewCPUSet(last))
+			fsys := sysfs.New(s.HW, s)
+			readInt := func(path string) float64 {
+				t.Helper()
+				raw, err := fsys.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				v, err := strconv.ParseUint(raw, 10, 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return float64(v)
+			}
+			check := func(smp Sample) {
+				t.Helper()
+				for cpu, got := range smp.FreqMHz {
+					want := readInt(fmt.Sprintf("sys/devices/system/cpu/cpu%d/cpufreq/scaling_cur_freq", cpu)) / 1000
+					if got != want {
+						t.Fatalf("t=%gs cpu%d: recorder %v MHz, scaling_cur_freq %v", smp.TimeSec, cpu, got, want)
+					}
+				}
+				temp := readInt(fmt.Sprintf("sys/class/thermal/thermal_zone%d/temp", s.HW.Thermal.ZoneIndex)) / 1000
+				if smp.TempC != temp {
+					t.Fatalf("t=%gs: recorder %v degC, zone temp %v", smp.TimeSec, smp.TempC, temp)
+				}
+				const energy = "sys/class/powercap/intel-rapl:0/energy_uj"
+				if !s.HW.Power.HasRAPL {
+					if fsys.Exists(energy) || smp.EnergyJ != 0 {
+						t.Fatalf("t=%gs: no RAPL, yet energy_uj exists=%v and recorder %v J",
+							smp.TimeSec, fsys.Exists(energy), smp.EnergyJ)
+					}
+					return
+				}
+				if want := readInt(energy) / 1e6; smp.EnergyJ != want {
+					t.Fatalf("t=%gs: recorder %v J, energy_uj %v", smp.TimeSec, smp.EnergyJ, want)
+				}
+			}
+			r := NewRecorder(s, 0.1)
+			check(r.Samples()[0])
+			defer s.AddStepHook(func(*sim.Machine) {
+				n := len(r.Samples())
+				r.Poll()
+				if len(r.Samples()) > n {
+					check(r.Samples()[n])
+				}
+			})()
+			s.RunUntil(func() bool { return false }, 3)
+			if got := len(r.Samples()); got < 30 {
+				t.Fatalf("%d samples over 3 s at 10 Hz", got)
+			}
+		})
 	}
 }
 
@@ -136,9 +200,7 @@ func TestAveragedRunsOfIdenticalSeedsAreIdentical(t *testing.T) {
 	collect := func() []Sample {
 		s := sim.New(hw.RaptorLake(), sim.DefaultConfig())
 		s.Spawn(workload.NewSpin("w", 5), hw.NewCPUSet(0))
-		r := NewRecorder(s, 1)
-		r.RunUntil(func() bool { return false }, 5)
-		return r.Samples()
+		return record(s, 1, 5).Samples()
 	}
 	a, b := collect(), collect()
 	avg := AverageRuns([][]Sample{a, b})

@@ -102,31 +102,13 @@ type Scorecard struct {
 }
 
 // ModelSource names a machine model and its constructor.
-type ModelSource struct {
-	Name string
-	Make func() *hw.Machine
-}
+type ModelSource = hw.Model
 
-// StandardSources lists every machine model in the scenario registry,
-// in a fixed order. The committed golden scorecards cover exactly this
-// set, one artifact per model.
+// StandardSources lists every machine model of hw.Models, in its fixed
+// order. The committed golden scorecards cover exactly this set, one
+// artifact per model.
 func StandardSources() []ModelSource {
-	return []ModelSource{
-		{Name: "raptorlake", Make: hw.RaptorLake},
-		{Name: "orangepi800", Make: hw.OrangePi800},
-		{Name: "dimensity9000", Make: hw.Dimensity9000},
-		{Name: "homogeneous", Make: hw.Homogeneous},
-	}
-}
-
-// SourceFor returns the standard source with the given name, or false.
-func SourceFor(name string) (ModelSource, bool) {
-	for _, s := range StandardSources() {
-		if s.Name == name {
-			return s, true
-		}
-	}
-	return ModelSource{}, false
+	return append([]ModelSource(nil), hw.Models...)
 }
 
 // fnum renders a float at the card's fixed precision.

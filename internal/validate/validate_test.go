@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"hetpapi/internal/hw"
 )
 
 var update = flag.Bool("update", false, "rewrite golden scorecards")
@@ -238,9 +240,9 @@ func TestOverheadDeltasZero(t *testing.T) {
 
 func mustSource(t *testing.T, name string) ModelSource {
 	t.Helper()
-	src, ok := SourceFor(name)
-	if !ok {
-		t.Fatalf("unknown model %q", name)
+	src, err := hw.LookupModel(name)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return src
 }
