@@ -1,17 +1,14 @@
 package hetpapi
 
-// The benchmark harness: one benchmark per table and figure of the paper's
-// evaluation, each printing the regenerated rows/series alongside the
-// paper's reference values, plus microbenchmarks for the measurement-path
-// costs the paper's section V.5 worries about.
+// Microbenchmarks for the measurement-path costs the paper's section V.5
+// worries about (single-PMU vs multi-PMU reads, rdpmc, multiplexing,
+// start/stop), the simulator tick, the scenario harness, the telemetry
+// store and the span tracer and profiler. The paper's tables and figures
+// are regenerated by cmd/hplbench and cmd/papihet, not here.
 //
 // Run with:
 //
-//	go test -bench=. -benchmem
-//
-// The paper-scale benchmarks use exp.Default() (N=57024, NB=192 on Raptor
-// Lake). Absolute wall time per benchmark iteration is tens of seconds of
-// simulated machine time; the printed tables appear once.
+//	go test -run '^$' -bench . -benchmem
 
 import (
 	"fmt"
@@ -24,7 +21,6 @@ import (
 
 	"hetpapi/internal/core"
 	"hetpapi/internal/events"
-	"hetpapi/internal/exp"
 	"hetpapi/internal/hw"
 	"hetpapi/internal/perfevent"
 	"hetpapi/internal/pfmlib"
@@ -39,163 +35,14 @@ import (
 
 var printOnce sync.Map
 
-func printHeader(b *testing.B, key, title, paper string) bool {
+// printHeader prints a benchmark's report title once per process and
+// reports whether the caller should print the report.
+func printHeader(key, title string) bool {
 	if _, loaded := printOnce.LoadOrStore(key, true); loaded {
 		return false
 	}
 	fmt.Printf("\n===== %s =====\n", title)
-	if paper != "" {
-		fmt.Printf("paper reference: %s\n", paper)
-	}
 	return true
-}
-
-func benchCfg() exp.Config {
-	cfg := exp.Default()
-	cfg.Runs = 1 // the simulator is deterministic per seed
-	return cfg
-}
-
-// BenchmarkTableII regenerates Table II: OpenBLAS HPL vs Intel HPL Gflops
-// for E-only, P-only and all-core runs at N=57024, NB=192.
-func BenchmarkTableII(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := exp.TableII(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if printHeader(b, "t2", "Table II: benchmark performance comparison",
-			"OpenBLAS 188.62/356.28/290.51, Intel 198.95/392.89/457.38 Gflops; changes +5.4%/+10.3%/+57.4%") {
-			fmt.Print(res)
-		}
-	}
-}
-
-// BenchmarkTableIII regenerates Table III: LLC miss rate and instruction
-// share per core type for the two all-core runs.
-func BenchmarkTableIII(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := exp.TableIII(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if printHeader(b, "t3", "Table III: hardware counter measurements (all-core)",
-			"LLC missrate P 86%->64%, E 0.05%->0.03%; instruction share 80/20 -> 68/32") {
-			fmt.Print(res)
-		}
-	}
-}
-
-// BenchmarkFigure1 regenerates the Figure 1 frequency traces of both
-// all-core runs and reports the median busy frequencies the paper quotes.
-func BenchmarkFigure1(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := exp.Figures1And2(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if printHeader(b, "f1", "Figure 1: measured core frequencies (all-core runs)",
-			"medians: OpenBLAS P 2.94 GHz / E 2.26 GHz; Intel P 2.61 GHz / E 2.32 GHz") {
-			fmt.Print(res)
-			for _, v := range []string{"OpenBLAS HPL", "Intel HPL"} {
-				fs := res.ByVariant[v]
-				fmt.Printf("%s: %d one-second samples; first P-core frequency series (GHz, every 20 s):\n  ", v, len(fs.Samples))
-				for j := 0; j < len(fs.Samples); j += 20 {
-					fmt.Printf("%.2f ", fs.Samples[j].FreqMHz[0]/1000)
-				}
-				fmt.Println()
-			}
-		}
-	}
-}
-
-// BenchmarkFigure2 regenerates the Figure 2 power and temperature traces.
-func BenchmarkFigure2(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := exp.Figures1And2(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if printHeader(b, "f2", "Figure 2: measured power and package temperature (all-core runs)",
-			"short spike toward the 219 W PL2 (OpenBLAS peaks 165.7 W), then the 65 W PL1 plateau; temp < 100 C") {
-			for _, v := range []string{"OpenBLAS HPL", "Intel HPL"} {
-				fs := res.ByVariant[v]
-				fmt.Printf("%-14s peak %.1f W, plateau %.1f W, max temp %.1f C; power series (W, every 20 s):\n  ",
-					v, fs.PeakPowerW, fs.PlateauPowerW, fs.MaxTempC)
-				for j := 1; j < len(fs.Samples); j += 20 {
-					fmt.Printf("%.0f ", fs.Samples[j].PowerW)
-				}
-				fmt.Println()
-			}
-		}
-	}
-}
-
-// BenchmarkFigure3 regenerates the OrangePi frequency-scaling traces.
-func BenchmarkFigure3(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := exp.Figure3(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if printHeader(b, "f3", "Figure 3: OrangePi frequency scaling behaviour",
-			"big cores ramp to 1.8 GHz then throttle within seconds; LITTLE cores sustain; WattsUpPro wall power") {
-			fmt.Print(res)
-			bigRun := res.Series[0]
-			fmt.Println("2-big run, big-cluster frequency (MHz, every 10 s):")
-			fmt.Print("  ")
-			m := hw.OrangePi800()
-			for j := 0; j < len(bigRun.Samples); j += 10 {
-				s := bigRun.Samples[j]
-				fmt.Printf("%.0f ", (s.FreqMHz[m.CPUsOfType("big")[0]]+s.FreqMHz[m.CPUsOfType("big")[1]])/2)
-			}
-			fmt.Println()
-		}
-	}
-}
-
-// BenchmarkFigure4 regenerates the OrangePi core-count sweep.
-func BenchmarkFigure4(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := exp.Figure4(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if printHeader(b, "f4", "Figure 4: OrangePi HPL performance as more cores added",
-			"4 LITTLE completes faster than 2 big; all 6 only a minimal improvement over 4 LITTLE") {
-			fmt.Print(res)
-		}
-	}
-}
-
-// BenchmarkHybridTest regenerates the papi_hybrid_100m_one_eventset test of
-// section IV.F: patched vs legacy PAPI on a free-migrating process.
-func BenchmarkHybridTest(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := exp.HybridTest(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if printHeader(b, "hy", "Section IV.F: papi_hybrid_100m_one_eventset",
-			"patched example: p: 836848 e: 167487 (sum ~1M); legacy: 0, 1M, or in between") {
-			fmt.Print(res)
-		}
-	}
-}
-
-// BenchmarkOverhead regenerates the section V.5 overhead study: syscall
-// cost per EventSet operation across set shapes.
-func BenchmarkOverhead(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := exp.Overhead(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if printHeader(b, "ov", "Section V.5: measurement overhead by EventSet shape",
-			"hybrid EventSets need one group per PMU: at least two reads per measurement") {
-			fmt.Print(res)
-		}
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -472,65 +319,6 @@ func BenchmarkHPLThreadRun(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Ablation benchmarks: the design choices behind the reproduced shapes.
-
-// BenchmarkAblationStrategySweep shows the Table II crossover mechanism:
-// static-barrier HPL degrades as E-cores join while work stealing gains.
-func BenchmarkAblationStrategySweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := exp.AblationStrategySweep(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if printHeader(b, "ab-strategy", "Ablation: threading strategy vs E-core count",
-			"the static split's loss grows with E-core count; work stealing keeps gaining") {
-			fmt.Print(res)
-		}
-	}
-}
-
-// BenchmarkAblationTurboBudget shows what the PL2 window buys.
-func BenchmarkAblationTurboBudget(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := exp.AblationTurboBudget(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if printHeader(b, "ab-turbo", "Ablation: PL2 turbo budget",
-			"the initial spike of Figures 1-2 exists because of the above-PL1 energy budget") {
-			fmt.Print(res)
-		}
-	}
-}
-
-// BenchmarkAblationMuxInterval quantifies multiplex estimation error.
-func BenchmarkAblationMuxInterval(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := exp.AblationMuxInterval(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if printHeader(b, "ab-mux", "Ablation: multiplex rotation interval vs estimate error", "") {
-			fmt.Print(res)
-		}
-	}
-}
-
-// BenchmarkAblationSchedulerPreference times hybrid-aware vs class-blind
-// placement.
-func BenchmarkAblationSchedulerPreference(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := exp.AblationSchedulerPreference(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if printHeader(b, "ab-sched", "Ablation: hybrid-aware scheduler placement", "") {
-			fmt.Print(res)
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
 // Telemetry serving-layer benchmarks: the internal/telemetry store
 // behind hetpapid.
 
@@ -636,22 +424,6 @@ func BenchmarkTelemetryQueryUnderLoad(b *testing.B) {
 	writers.Wait()
 }
 
-// BenchmarkEnergyTable measures energy-to-solution for every Table II
-// cell via RAPL — the efficiency view the paper's motivation implies but
-// never tabulates.
-func BenchmarkEnergyTable(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := exp.EnergyTable(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if printHeader(b, "en", "Extension: energy to solution (RAPL) per Table II cell",
-			"the hybrid-aware all-core configuration should be the most energy-efficient") {
-			fmt.Print(res)
-		}
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Span-trace benchmarks: the recorder's self-overhead contract. The
 // tick benchmarks measure the same machine+workload under four tracing
@@ -738,7 +510,7 @@ func BenchmarkSpantraceTick(b *testing.B) {
 			}
 		}
 		b.StopTimer()
-		if printHeader(b, "spantrace-ovh", "Span-trace recorder self-overhead", "") {
+		if printHeader("spantrace-ovh", "Span-trace recorder self-overhead") {
 			fmt.Printf("tick ns: baseline %.0f, disabled %.0f, enabled %.0f\n",
 				baselineNs, disabledNs, enabledNs)
 			fmt.Printf("disabled/baseline %.3f (acceptance: < 1.05), enabled/disabled %.3f\n",
@@ -782,7 +554,7 @@ func BenchmarkProfilerTick(b *testing.B) {
 	// Print after both sub-benchmarks settle so the report reflects the
 	// final timed runs, not the N=1 warm-up.
 	if baselineNs > 0 && enabledNs > 0 &&
-		printHeader(b, "profiler-ovh", "Statistical profiler self-overhead", "") {
+		printHeader("profiler-ovh", "Statistical profiler self-overhead") {
 		fmt.Printf("tick ns: baseline %.0f, profiled %.0f, ratio %.3f (acceptance: < 1.10)\n",
 			baselineNs, enabledNs, enabledNs/baselineNs)
 		fmt.Println(ovh.String())

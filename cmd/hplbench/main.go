@@ -23,6 +23,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sync"
 
 	"hetpapi/internal/exp"
 )
@@ -59,50 +60,55 @@ func main() {
 }
 
 func run(cfg exp.Config, which string) error {
+	// Table II, Table III, Figures 1-2 and the energy table are views of
+	// one Raptor Lake sweep, Figures 3-4 of one OrangePi sweep: each sweep
+	// runs at most once, however many of its views are printed.
+	raptorLake := sync.OnceValues(func() (exp.RaptorLakeResult, error) { return exp.RaptorLake(cfg) })
+	orangePi := sync.OnceValues(func() (exp.OrangePiResult, error) { return exp.OrangePi(cfg) })
 	do := func(name string) error {
 		switch name {
 		case "table2":
-			res, err := exp.TableII(cfg)
+			res, err := raptorLake()
 			if err != nil {
 				return err
 			}
 			fmt.Println("Table II: benchmark performance comparison")
-			fmt.Print(res)
+			fmt.Print(res.TableII())
 		case "table3":
-			res, err := exp.TableIII(cfg)
+			res, err := raptorLake()
 			if err != nil {
 				return err
 			}
 			fmt.Println("Table III: hardware counter measurements for all-core runs")
-			fmt.Print(res)
+			fmt.Print(res.TableIII())
 		case "fig12":
-			res, err := exp.Figures1And2(cfg)
+			res, err := raptorLake()
 			if err != nil {
 				return err
 			}
 			fmt.Println("Figures 1-2: all-core run traces (Raptor Lake)")
-			fmt.Print(res)
+			fmt.Print(res.Figures1And2())
 		case "fig3":
-			res, err := exp.Figure3(cfg)
+			res, err := orangePi()
 			if err != nil {
 				return err
 			}
 			fmt.Println("Figure 3: OrangePi frequency scaling behaviour")
-			fmt.Print(res)
+			fmt.Print(res.Figure3())
 		case "fig4":
-			res, err := exp.Figure4(cfg)
+			res, err := orangePi()
 			if err != nil {
 				return err
 			}
 			fmt.Println("Figure 4: OrangePi HPL performance as more cores are added")
-			fmt.Print(res)
+			fmt.Print(res.Figure4())
 		case "energy":
-			res, err := exp.EnergyTable(cfg)
+			res, err := raptorLake()
 			if err != nil {
 				return err
 			}
 			fmt.Println("Energy to solution (RAPL) per Table II cell")
-			fmt.Print(res)
+			fmt.Print(res.EnergyTable())
 		case "ablations":
 			sweep, err := exp.AblationStrategySweep(cfg)
 			if err != nil {

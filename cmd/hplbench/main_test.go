@@ -1,27 +1,40 @@
 package main
 
 import (
+	"flag"
+	"io"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"hetpapi/internal/exp"
 )
 
-func quiet(t *testing.T, fn func() error) {
+var update = flag.Bool("update", false, "rewrite the golden experiment outputs under testdata")
+
+// capture runs fn with os.Stdout redirected and returns what it wrote.
+func capture(t *testing.T, fn func() error) string {
 	t.Helper()
-	old := os.Stdout
-	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	f, err := os.CreateTemp(t.TempDir(), "stdout")
 	if err != nil {
 		t.Fatal(err)
 	}
-	os.Stdout = devnull
-	defer func() {
-		os.Stdout = old
-		devnull.Close()
-	}()
-	if err := fn(); err != nil {
+	defer f.Close()
+	old := os.Stdout
+	os.Stdout = f
+	err = fn()
+	os.Stdout = old
+	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		t.Fatal(err)
+	}
+	out, err := io.ReadAll(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
 }
 
 func smallCfg() exp.Config {
@@ -31,11 +44,28 @@ func smallCfg() exp.Config {
 	return cfg
 }
 
+// TestRunEachExperiment pins each experiment's output byte for byte to
+// testdata/<experiment>.golden. Regenerate deliberately with
+//
+//	go test ./cmd/hplbench -update
 func TestRunEachExperiment(t *testing.T) {
 	for _, which := range []string{"table2", "table3", "fig12", "fig3", "fig4", "energy", "ablations"} {
-		which := which
 		t.Run(which, func(t *testing.T) {
-			quiet(t, func() error { return run(smallCfg(), which) })
+			got := capture(t, func() error { return run(smallCfg(), which) })
+			path := filepath.Join("testdata", which+".golden")
+			if *update {
+				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("%v; run `go test ./cmd/hplbench -update` and commit %s", err, path)
+			}
+			if got != string(want) {
+				t.Errorf("%s output drifted from %s:\n got:\n%s\nwant:\n%s", which, path, got, want)
+			}
 		})
 	}
 }

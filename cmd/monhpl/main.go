@@ -46,6 +46,9 @@ func main() {
 }
 
 func run(machineName, variant, coresFlag string, n, nb, nRuns int, settle, hz float64, seed int64) error {
+	if hz <= 0 || hz > 1 {
+		return fmt.Errorf("-hz %g out of range (0, 1]: the recorder polls at 1 Hz and can only thin its samples", hz)
+	}
 	model, err := hw.LookupModel(machineName)
 	if err != nil {
 		return err
@@ -77,27 +80,22 @@ func run(machineName, variant, coresFlag string, n, nb, nRuns int, settle, hz fl
 	fmt.Fprintf(os.Stderr, "monhpl: %s, %s, N=%d NB=%d, %d thread(s) on cpus %s, %d run(s), settle %.0f degC\n",
 		machineName, strat.Name, n, nb, len(cpus), sysfs.FormatCPUList(cpus), nRuns, settle)
 
-	var runs [][]trace.Sample
+	cfg := exp.Config{N: n, NB: nb, Runs: nRuns, SettleTempC: settle, Seed: seed}
+	avg, runs, err := exp.AverageHPL(cfg, m, strat, cpus)
+	if err != nil {
+		return err
+	}
 	var gflops []float64
-	for r := 0; r < nRuns; r++ {
-		// Fresh machine per run; the settle protocol is modeled by
-		// starting each run from a settled (ambient) package, like the
-		// paper's wait-for-35C loop.
-		res, err := exp.RunHPL(model.Make(), strat, cpus, n, nb, seed+int64(r))
-		if err != nil {
-			return err
-		}
-		runs = append(runs, resample(res.Samples, hz))
+	for r, res := range runs {
 		gflops = append(gflops, res.Gflops)
 		fmt.Fprintf(os.Stderr, "monhpl: run %d: %.2f Gflops in %.1f s\n", r+1, res.Gflops, res.ElapsedSec)
 	}
 
-	avg := trace.AverageRuns(runs)
-	if err := trace.WriteCSV(os.Stdout, m.NumCPUs(), avg); err != nil {
+	if err := trace.WriteCSV(os.Stdout, m.NumCPUs(), resample(avg.Samples, hz)); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "monhpl: mean %.2f Gflops (stddev %.2f) over %d run(s)\n",
-		stats.Mean(gflops), stats.Stddev(gflops), nRuns)
+		stats.Mean(gflops), stats.Stddev(gflops), len(runs))
 	return nil
 }
 
@@ -122,8 +120,9 @@ func hplBuild(machineName, variant string) (workload.Strategy, int, int, error) 
 	return workload.Strategy{}, 0, 0, fmt.Errorf("no HPL build for machine %q (have raptorlake, orangepi800)", machineName)
 }
 
-// resample keeps every k-th sample to approximate a non-1 Hz polling rate
-// (the recorder itself polls at 1 Hz).
+// resample keeps every k-th sample to approximate a polling rate below
+// 1 Hz (the recorder itself polls at 1 Hz). Thinning the averaged trace
+// equals averaging the thinned runs: both keep the same sample indices.
 func resample(samples []trace.Sample, hz float64) []trace.Sample {
 	if hz >= 1 || hz <= 0 {
 		return samples

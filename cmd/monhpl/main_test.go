@@ -1,39 +1,76 @@
 package main
 
 import (
+	"bytes"
+	"io"
 	"os"
 	"testing"
 
+	"hetpapi/internal/exp"
+	"hetpapi/internal/hw"
 	"hetpapi/internal/trace"
 )
 
-func quiet(t *testing.T, fn func() error) {
+// capture runs fn with os.Stdout redirected and returns what it wrote.
+func capture(t *testing.T, fn func() error) string {
 	t.Helper()
-	old := os.Stdout
-	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	f, err := os.CreateTemp(t.TempDir(), "stdout")
 	if err != nil {
 		t.Fatal(err)
 	}
-	os.Stdout = devnull
-	defer func() {
-		os.Stdout = old
-		devnull.Close()
-	}()
-	if err := fn(); err != nil {
+	defer f.Close()
+	old := os.Stdout
+	os.Stdout = f
+	err = fn()
+	os.Stdout = old
+	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		t.Fatal(err)
+	}
+	out, err := io.ReadAll(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
 }
 
 func TestMonitorRaptorLake(t *testing.T) {
-	quiet(t, func() error {
+	capture(t, func() error {
 		return run("raptorlake", "intel", "0,2,4,6", 3840, 192, 1, 35, 1, 1)
 	})
 }
 
 func TestMonitorOrangePi(t *testing.T) {
-	quiet(t, func() error {
+	capture(t, func() error {
 		return run("orangepi800", "openblas", "", 4096, 128, 2, 35, 0.5, 1)
 	})
+}
+
+// TestMonitorIsThePaperProtocol: monhpl's averaged trace of the Intel
+// build on the default cores (one thread per core) is the trace behind
+// Figures 1-2's Intel series: the same runs on one machine, settled to
+// the same temperature between them.
+func TestMonitorIsThePaperProtocol(t *testing.T) {
+	cfg := exp.Quick()
+	cfg.N, cfg.NB, cfg.Runs, cfg.SettleTempC, cfg.Seed = 19200, 192, 2, 35, 1
+	got := capture(t, func() error {
+		return run("raptorlake", "intel", "", cfg.N, cfg.NB, cfg.Runs, cfg.SettleTempC, 1, cfg.Seed)
+	})
+	sweep, err := exp.RaptorLake(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	samples := sweep.Figures1And2().ByVariant["Intel HPL"].Samples
+	if err := trace.WriteCSV(&want, hw.RaptorLake().NumCPUs(), samples); err != nil {
+		t.Fatal(err)
+	}
+	if len(samples) < 5 || got != want.String() {
+		t.Fatalf("monhpl CSV (%d bytes) differs from the Figures 1-2 Intel trace (%d samples, %d bytes)",
+			len(got), len(samples), want.Len())
+	}
 }
 
 func TestMonitorErrors(t *testing.T) {
@@ -51,6 +88,13 @@ func TestMonitorErrors(t *testing.T) {
 	}
 	if err := run("raptorlake", "intel", "bogus", 3840, 192, 1, 35, 1, 1); err == nil {
 		t.Error("malformed cores must fail")
+	}
+	// The recorder polls at 1 Hz and resampling can only thin it, so a
+	// rate outside (0, 1] cannot be honoured.
+	for _, hz := range []float64{0, -1, 2} {
+		if err := run("raptorlake", "intel", "0,2", 3840, 192, 1, 35, hz, 1); err == nil {
+			t.Errorf("-hz %g must fail", hz)
+		}
 	}
 }
 

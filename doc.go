@@ -24,8 +24,10 @@
 //	internal/stats     summary statistics
 //	internal/exp       drivers that regenerate every paper table and figure
 //
-// The benchmarks in this package (bench_test.go) regenerate Table II,
-// Table III, Figures 1-4, the papi_hybrid test of section IV.F and the
-// overhead study of section V.5. See DESIGN.md for the system inventory
-// and EXPERIMENTS.md for paper-versus-measured results.
+// cmd/hplbench regenerates Table II, Table III, Figures 1-4 and the
+// energy table, and cmd/papihet the papi_hybrid test of section IV.F and
+// the overhead study of section V.5. The benchmarks in this package
+// (bench_test.go) measure the Go-level cost of the measurement paths. See
+// DESIGN.md for the system inventory and EXPERIMENTS.md for
+// paper-versus-measured results.
 package hetpapi

@@ -8,7 +8,6 @@ package exp
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"hetpapi/internal/core"
 	"hetpapi/internal/hw"
@@ -38,30 +37,17 @@ func AblationStrategySweep(cfg Config) (StrategySweepResult, error) {
 	pcpus := cpusFor(m, POnly)
 	ecpus := m.CPUsOfType("E-core")
 	counts := []int{0, 2, 4, 8}
+	strats := []workload.Strategy{workload.OpenBLASx86(), workload.IntelMKL()}
 	cells := make([][2]float64, len(counts))
-	errs := make([]error, len(counts)*2)
-	var wg sync.WaitGroup
-	for ci, k := range counts {
-		cpus := append(append([]int{}, pcpus...), ecpus[:k]...)
-		for si, strat := range []workload.Strategy{workload.OpenBLASx86(), workload.IntelMKL()} {
-			ci, si, strat, cpus := ci, si, strat, cpus
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				run, err := RunHPL(hw.RaptorLake(), strat, cpus, cfg.N, cfg.NB, cfg.Seed)
-				if err != nil {
-					errs[ci*2+si] = err
-					return
-				}
-				cells[ci][si] = run.Gflops
-			}()
-		}
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return res, err
-		}
+	err := parallel(len(counts)*len(strats), func(i int) error {
+		ci, si := i/len(strats), i%len(strats)
+		cpus := append(append([]int{}, pcpus...), ecpus[:counts[ci]]...)
+		run, err := RunHPL(hw.RaptorLake(), strats[si], cpus, cfg.N, cfg.NB, cfg.Seed)
+		cells[ci][si] = run.Gflops
+		return err
+	})
+	if err != nil {
+		return res, err
 	}
 	for ci, k := range counts {
 		res.Rows = append(res.Rows, StrategySweepRow{

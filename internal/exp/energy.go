@@ -2,17 +2,11 @@ package exp
 
 // Energy-to-solution extension: the paper's motivation for heterogeneous
 // cores is energy efficiency, and its methodology collects RAPL energy for
-// every run — but the paper never tabulates efficiency. This driver closes
+// every run — but the paper never tabulates efficiency. This view closes
 // that loop: Gflops/W and energy-to-solution for each Table II cell,
 // measured through the RAPL counters of the simulated package.
 
-import (
-	"fmt"
-	"sync"
-
-	"hetpapi/internal/hw"
-	"hetpapi/internal/workload"
-)
+import "fmt"
 
 // EnergyRow is one (core selection, variant) cell of the efficiency table.
 type EnergyRow struct {
@@ -31,48 +25,24 @@ type EnergyResult struct {
 	Rows []EnergyRow
 }
 
-// EnergyTable measures energy-to-solution for every Table II cell.
-func EnergyTable(cfg Config) (EnergyResult, error) {
+// EnergyTable is the efficiency view: energy-to-solution for every
+// Table II cell.
+func (r RaptorLakeResult) EnergyTable() EnergyResult {
 	var res EnergyResult
-	sels := []CoreSelection{EOnly, POnly, PAndE}
-	strats := []workload.Strategy{workload.OpenBLASx86(), workload.IntelMKL()}
-	rows := make([]EnergyRow, len(sels)*len(strats))
-	errs := make([]error, len(rows))
-	var wg sync.WaitGroup
-	for si, sel := range sels {
-		for vi, strat := range strats {
-			idx := si*len(strats) + vi
-			sel, strat := sel, strat
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				run, err := AverageHPL(cfg, hw.RaptorLake, strat, sel)
-				if err != nil {
-					errs[idx] = err
-					return
-				}
-				row := EnergyRow{
-					Cores:    sel,
-					Variant:  strat.Name,
-					Gflops:   run.Gflops,
-					EnergyKJ: run.EnergyJ / 1000,
-				}
-				if run.EnergyJ > 0 {
-					// flops = Gflops * 1e9 * elapsed; efficiency = flops/J / 1e9.
-					row.GflopsPerWatt = run.Gflops * run.ElapsedSec / run.EnergyJ
-				}
-				rows[idx] = row
-			}()
+	for _, c := range r.Cells {
+		row := EnergyRow{
+			Cores:    c.Cores,
+			Variant:  c.Variant,
+			Gflops:   c.Run.Gflops,
+			EnergyKJ: c.Run.EnergyJ / 1000,
 		}
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return res, err
+		if c.Run.EnergyJ > 0 {
+			// flops = Gflops * 1e9 * elapsed; efficiency = flops/J / 1e9.
+			row.GflopsPerWatt = c.Run.Gflops * c.Run.ElapsedSec / c.Run.EnergyJ
 		}
+		res.Rows = append(res.Rows, row)
 	}
-	res.Rows = rows
-	return res, nil
+	return res
 }
 
 // Row returns the cell for a selection and variant, or nil.

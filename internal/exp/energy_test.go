@@ -6,10 +6,7 @@ import (
 )
 
 func TestEnergyTableShape(t *testing.T) {
-	res, err := EnergyTable(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := raptorLake(t).EnergyTable()
 	if len(res.Rows) != 6 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}

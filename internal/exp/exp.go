@@ -1,15 +1,18 @@
 // Package exp contains the experiment drivers that regenerate every table
-// and figure of the paper's evaluation, shared by the cmd/ tools, the
-// examples and the top-level benchmarks. Each driver builds fresh
-// simulated machines, runs the paper's workloads under the paper's
+// and figure of the paper's evaluation, shared by the cmd/ tools. Each
+// paper cell runs once: RaptorLake runs the six Table II cells under the
+// paper's settle-and-average protocol (AverageHPL) and OrangePi the five
+// Figure 4 configurations, and every Raptor Lake and OrangePi table or
+// figure is a view of one of those two results. The runs use the paper's
 // measurement methodology (1 Hz sysfs polling, perf-style system-wide
-// counters, PAPI EventSets for the hybrid test), and returns structured
-// results with paper-style text rendering.
+// counters, PAPI EventSets for the hybrid test), and every result renders
+// in the paper's layout.
 package exp
 
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"hetpapi/internal/hw"
 	"hetpapi/internal/scenario"
@@ -97,10 +100,6 @@ func cpusFor(m *hw.Machine, sel CoreSelection) []int {
 	}
 }
 
-// TypeCounters holds system-wide counter totals for one core type. It is
-// the scenario harness's type; the alias keeps the historical exp API.
-type TypeCounters = scenario.TypeCounters
-
 // HPLRun is one measured HPL execution.
 type HPLRun struct {
 	// Gflops is the benchmark figure of merit.
@@ -110,7 +109,7 @@ type HPLRun struct {
 	// Samples is the 1 Hz monitoring trace.
 	Samples []trace.Sample
 	// ByType holds perf-style system-wide counters per core type name.
-	ByType map[string]TypeCounters
+	ByType map[string]scenario.TypeCounters
 	// EnergyJ is the total package energy of the run (RAPL machines).
 	EnergyJ float64
 }
@@ -152,36 +151,36 @@ func runHPLOn(s *sim.Machine, strategy workload.Strategy, cpus []int, n, nb int,
 	}, nil
 }
 
-// AverageHPL runs a cell cfg.Runs times with distinct seeds on ONE
-// machine, waiting between runs for the package to settle at
-// cfg.SettleTempC — the paper's data-collection protocol ("waiting for
-// the CPU package temperature to settle at 35 degC before each run") —
-// and returns the run with averaged scalars and trace.
-func AverageHPL(cfg Config, m func() *hw.Machine, strategy workload.Strategy, sel CoreSelection) (HPLRun, error) {
-	machine := m()
+// AverageHPL runs HPL at cfg.N and cfg.NB, pinned to cpus, cfg.Runs times
+// with distinct seeds on ONE machine built from m, waiting between runs for
+// the package to settle at cfg.SettleTempC — the paper's data-collection
+// protocol ("waiting for the CPU package temperature to settle at 35 degC
+// before each run"). It returns the run with averaged scalars, counters
+// and trace, and the individual runs in order.
+func AverageHPL(cfg Config, m *hw.Machine, strategy workload.Strategy, cpus []int) (HPLRun, []HPLRun, error) {
 	simCfg := sim.DefaultConfig()
 	simCfg.Sched.Seed = cfg.Seed
-	s := sim.New(machine, simCfg)
+	s := sim.New(m, simCfg)
 	settle := cfg.SettleTempC
 	if settle <= 0 {
 		settle = 35
 	}
 	var runs []HPLRun
 	var traces [][]trace.Sample
-	for r := 0; r < max(1, cfg.Runs); r++ {
+	for r := range max(1, cfg.Runs) {
 		if r > 0 {
 			s.Settle(settle)
 		}
-		run, err := runHPLOn(s, strategy, cpusFor(machine, sel), cfg.N, cfg.NB, cfg.Seed+int64(r))
+		run, err := runHPLOn(s, strategy, cpus, cfg.N, cfg.NB, cfg.Seed+int64(r))
 		if err != nil {
-			return HPLRun{}, err
+			return HPLRun{}, nil, err
 		}
 		runs = append(runs, run)
 		traces = append(traces, run.Samples)
 	}
 	avg := HPLRun{
 		Samples: trace.AverageRuns(traces),
-		ByType:  map[string]TypeCounters{},
+		ByType:  map[string]scenario.TypeCounters{},
 	}
 	for _, r := range runs {
 		avg.Gflops += r.Gflops
@@ -207,14 +206,30 @@ func AverageHPL(cfg Config, m func() *hw.Machine, strategy workload.Strategy, se
 		tc.LLCMisses /= n
 		avg.ByType[name] = tc
 	}
-	return avg, nil
+	return avg, runs, nil
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
+// parallel runs fn(0) … fn(n-1) in one goroutine each, waits for all of
+// them and returns the error of the lowest index that failed. The
+// experiments' cells are independent simulated machines, each
+// deterministic on its own, so a result is the same as a serial run's.
+func parallel(n int, fn func(i int) error) error {
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := range n {
+		go func() {
+			defer wg.Done()
+			errs[i] = fn(i)
+		}()
 	}
-	return b
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // table renders rows of columns with padding, for paper-style output.

@@ -2,17 +2,45 @@ package exp
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"hetpapi/internal/hw"
 	"hetpapi/internal/workload"
 )
 
-func TestTableIIShape(t *testing.T) {
-	res, err := TableII(Quick())
+// The view tests share one sweep of each machine, as hplbench does.
+// N=28800 serves every Raptor Lake view: the all-core runs are long
+// enough to leave the PL2 spike and plateau (Figures 1-2).
+var (
+	raptorSweep = sync.OnceValues(func() (RaptorLakeResult, error) {
+		cfg := Quick()
+		cfg.N = 28800
+		return RaptorLake(cfg)
+	})
+	orangePiSweep = sync.OnceValues(func() (OrangePiResult, error) { return OrangePi(Quick()) })
+)
+
+func raptorLake(t *testing.T) RaptorLakeResult {
+	t.Helper()
+	res, err := raptorSweep()
 	if err != nil {
 		t.Fatal(err)
 	}
+	return res
+}
+
+func orangePi(t *testing.T) OrangePiResult {
+	t.Helper()
+	res, err := orangePiSweep()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+func TestTableIIShape(t *testing.T) {
+	res := raptorLake(t).TableII()
 	if len(res.Rows) != 3 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
@@ -50,10 +78,7 @@ func TestTableIIShape(t *testing.T) {
 }
 
 func TestTableIIIShape(t *testing.T) {
-	res, err := TableIII(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := raptorLake(t).TableIII()
 	ob := res.Cells["OpenBLAS HPL"]
 	in := res.Cells["Intel HPL"]
 	if ob == nil || in == nil {
@@ -96,12 +121,7 @@ func TestTableIIIShape(t *testing.T) {
 }
 
 func TestFigures1And2Shape(t *testing.T) {
-	cfg := Quick()
-	cfg.N = 28800 // long enough to leave the PL2 spike and plateau
-	res, err := Figures1And2(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := raptorLake(t).Figures1And2()
 	ob := res.ByVariant["OpenBLAS HPL"]
 	in := res.ByVariant["Intel HPL"]
 	if len(ob.Samples) < 10 || len(in.Samples) < 10 {
@@ -138,10 +158,7 @@ func TestFigures1And2Shape(t *testing.T) {
 }
 
 func TestFigure3Shape(t *testing.T) {
-	res, err := Figure3(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := orangePi(t).Figure3()
 	if len(res.Series) != 3 {
 		t.Fatalf("series = %d", len(res.Series))
 	}
@@ -180,10 +197,7 @@ func TestFigure3Shape(t *testing.T) {
 }
 
 func TestFigure4Shape(t *testing.T) {
-	res, err := Figure4(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := orangePi(t).Figure4()
 	if len(res.Rows) != 5 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
@@ -308,16 +322,29 @@ func TestAverageHPLSettlesBetweenRuns(t *testing.T) {
 	cfg.N = 3840
 	cfg.Runs = 3
 	cfg.SettleTempC = 35
-	run, err := AverageHPL(cfg, hw.RaptorLake, workload.IntelMKL(), POnly)
+	m := hw.RaptorLake()
+	run, runs, err := AverageHPL(cfg, m, workload.IntelMKL(), cpusFor(m, POnly))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if run.Gflops <= 0 {
 		t.Fatal("no throughput")
 	}
+	if len(runs) != 3 {
+		t.Fatalf("%d individual runs, want 3", len(runs))
+	}
+	var sum float64
+	for _, r := range runs {
+		sum += r.Gflops
+	}
+	if mean := sum / 3; mean < run.Gflops*0.999999 || mean > run.Gflops*1.000001 {
+		t.Errorf("averaged %.4f Gflops, the runs' mean is %.4f", run.Gflops, mean)
+	}
 	// Averaged counters must be per-run magnitudes, not 3x (the wide
 	// counters are re-opened and baselined each run).
-	single, err := AverageHPL(exp1Run(cfg), hw.RaptorLake, workload.IntelMKL(), POnly)
+	cfg.Runs = 1
+	m = hw.RaptorLake()
+	single, _, err := AverageHPL(cfg, m, workload.IntelMKL(), cpusFor(m, POnly))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,9 +352,9 @@ func TestAverageHPLSettlesBetweenRuns(t *testing.T) {
 	if ratio < 0.8 || ratio > 1.2 {
 		t.Fatalf("averaged instruction count %.2fx the single-run count; baselining broken", ratio)
 	}
-}
-
-func exp1Run(cfg Config) Config {
-	cfg.Runs = 1
-	return cfg
+	// The first run of the sequence is the single run: same seed, same
+	// cold machine.
+	if runs[0].Gflops != single.Gflops {
+		t.Errorf("first of three runs %.4f Gflops, single run %.4f", runs[0].Gflops, single.Gflops)
+	}
 }

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"sync"
 
 	"hetpapi/internal/hw"
 	"hetpapi/internal/stats"
@@ -33,6 +32,38 @@ func armCPUs(m *hw.Machine, c ArmConfig) []int {
 	return out
 }
 
+// ArmRun is one OrangePi configuration's HPL run.
+type ArmRun struct {
+	Config ArmConfig
+	Run    HPLRun
+}
+
+// OrangePiResult holds the five Figure 4 configurations' runs, in
+// Figure 4's order. Figures 3 and 4 are views of it.
+type OrangePiResult struct {
+	Runs []ArmRun
+}
+
+// OrangePi runs each Figure 4 configuration once, on its own machine;
+// the five runs are concurrent.
+func OrangePi(cfg Config) (OrangePiResult, error) {
+	configs := []ArmConfig{
+		{Label: "1 big", Big: 1},
+		{Label: "2 big", Big: 2},
+		{Label: "2 LITTLE", Little: 2},
+		{Label: "4 LITTLE", Little: 4},
+		{Label: "all 6", Big: 2, Little: 4},
+	}
+	runs := make([]ArmRun, len(configs))
+	err := parallel(len(runs), func(i int) error {
+		m := hw.OrangePi800()
+		run, err := RunHPL(m, workload.OpenBLASArm(), armCPUs(m, configs[i]), cfg.ArmN, cfg.ArmNB, cfg.Seed)
+		runs[i] = ArmRun{Config: configs[i], Run: run}
+		return err
+	})
+	return OrangePiResult{Runs: runs}, err
+}
+
 // Figure3Series is the monitoring trace of one OrangePi run.
 type Figure3Series struct {
 	Config  ArmConfig
@@ -57,63 +88,37 @@ type Figure3Result struct {
 	Series []Figure3Series
 }
 
-// Figure3 regenerates the OrangePi frequency/power/thermal traces for the
-// big-only, LITTLE-only and all-core configurations.
-func Figure3(cfg Config) (Figure3Result, error) {
+// Figure3 is the frequency/power/thermal trace view of the big-only,
+// LITTLE-only and all-core runs.
+func (r OrangePiResult) Figure3() Figure3Result {
 	var res Figure3Result
-	configs := []ArmConfig{
-		{Label: "2 big", Big: 2},
-		{Label: "4 LITTLE", Little: 4},
-		{Label: "all 6", Big: 2, Little: 4},
-	}
-	series := make([]Figure3Series, len(configs))
-	errs := make([]error, len(configs))
-	var wg sync.WaitGroup
-	for i, ac := range configs {
-		i, ac := i, ac
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			m := hw.OrangePi800()
-			run, err := RunHPL(m, workload.OpenBLASArm(), armCPUs(m, ac), cfg.ArmN, cfg.ArmNB, cfg.Seed)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			fs := Figure3Series{Config: ac, Samples: run.Samples, Gflops: run.Gflops}
-			bigSeries := trace.MeanFreqSeries(run.Samples, m.CPUsOfType("big"))
-			littleSeries := trace.MeanFreqSeries(run.Samples, m.CPUsOfType("LITTLE"))
-			if len(bigSeries) > 0 {
-				fs.StartBigMHz = stats.Max(bigSeries[:min(3, len(bigSeries))])
-			}
-			if len(bigSeries) > 5 {
-				fs.SustainedBigMHz = stats.Median(bigSeries[5:])
-				fs.SustainedLittleMHz = stats.Median(littleSeries[5:])
-			}
-			fs.MaxTempC = stats.Max(trace.TempSeries(run.Samples))
-			var wall []float64
-			for _, s := range run.Samples {
-				wall = append(wall, s.WallW)
-			}
-			fs.MeanWallW = stats.Mean(wall)
-			series[i] = fs
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return res, err
+	m := hw.OrangePi800()
+	for _, ar := range r.Runs {
+		switch ar.Config.Label {
+		case "2 big", "4 LITTLE", "all 6": // the configurations Figure 3 traces
+		default:
+			continue
 		}
+		run := ar.Run
+		fs := Figure3Series{Config: ar.Config, Samples: run.Samples, Gflops: run.Gflops}
+		bigSeries := trace.MeanFreqSeries(run.Samples, m.CPUsOfType("big"))
+		littleSeries := trace.MeanFreqSeries(run.Samples, m.CPUsOfType("LITTLE"))
+		if len(bigSeries) > 0 {
+			fs.StartBigMHz = stats.Max(bigSeries[:min(3, len(bigSeries))])
+		}
+		if len(bigSeries) > 5 {
+			fs.SustainedBigMHz = stats.Median(bigSeries[5:])
+			fs.SustainedLittleMHz = stats.Median(littleSeries[5:])
+		}
+		fs.MaxTempC = stats.Max(trace.TempSeries(run.Samples))
+		var wall []float64
+		for _, s := range run.Samples {
+			wall = append(wall, s.WallW)
+		}
+		fs.MeanWallW = stats.Mean(wall)
+		res.Series = append(res.Series, fs)
 	}
-	res.Series = series
-	return res, nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	return res
 }
 
 // String summarizes the Figure 3 shapes.
@@ -147,42 +152,13 @@ type Figure4Result struct {
 	Rows []Figure4Row
 }
 
-// Figure4 regenerates the core-count sweep; the configurations run on
-// independent machines concurrently.
-func Figure4(cfg Config) (Figure4Result, error) {
+// Figure4 is the core-count sweep view.
+func (r OrangePiResult) Figure4() Figure4Result {
 	var res Figure4Result
-	configs := []ArmConfig{
-		{Label: "1 big", Big: 1},
-		{Label: "2 big", Big: 2},
-		{Label: "2 LITTLE", Little: 2},
-		{Label: "4 LITTLE", Little: 4},
-		{Label: "all 6", Big: 2, Little: 4},
+	for _, ar := range r.Runs {
+		res.Rows = append(res.Rows, Figure4Row{Config: ar.Config, Gflops: ar.Run.Gflops, ElapsedSec: ar.Run.ElapsedSec})
 	}
-	rows := make([]Figure4Row, len(configs))
-	errs := make([]error, len(configs))
-	var wg sync.WaitGroup
-	for i, ac := range configs {
-		i, ac := i, ac
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			m := hw.OrangePi800()
-			run, err := RunHPL(m, workload.OpenBLASArm(), armCPUs(m, ac), cfg.ArmN, cfg.ArmNB, cfg.Seed)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			rows[i] = Figure4Row{Config: ac, Gflops: run.Gflops, ElapsedSec: run.ElapsedSec}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return res, err
-		}
-	}
-	res.Rows = rows
-	return res, nil
+	return res
 }
 
 // Row returns the row with the given label, or nil.

@@ -2,13 +2,53 @@ package exp
 
 import (
 	"fmt"
-	"sync"
 
 	"hetpapi/internal/hw"
 	"hetpapi/internal/stats"
 	"hetpapi/internal/trace"
 	"hetpapi/internal/workload"
 )
+
+// RaptorLakeCell is one averaged Table II cell: a core selection run by
+// one HPL build.
+type RaptorLakeCell struct {
+	Cores   CoreSelection
+	Variant string
+	Run     HPLRun
+}
+
+// RaptorLakeResult holds the six Table II cells, core selection major
+// (E only, P only, P and E) and OpenBLAS before Intel within each. Table
+// II, Table III, Figures 1-2 and the energy table are views of it.
+type RaptorLakeResult struct {
+	Cells []RaptorLakeCell
+}
+
+// RaptorLake runs each Table II cell once, through AverageHPL on its own
+// machine. The six cells run concurrently.
+func RaptorLake(cfg Config) (RaptorLakeResult, error) {
+	sels := []CoreSelection{EOnly, POnly, PAndE}
+	strats := []workload.Strategy{workload.OpenBLASx86(), workload.IntelMKL()}
+	cells := make([]RaptorLakeCell, len(sels)*len(strats))
+	err := parallel(len(cells), func(i int) error {
+		sel, strat := sels[i/len(strats)], strats[i%len(strats)]
+		m := hw.RaptorLake()
+		run, _, err := AverageHPL(cfg, m, strat, cpusFor(m, sel))
+		cells[i] = RaptorLakeCell{Cores: sel, Variant: strat.Name, Run: run}
+		return err
+	})
+	return RaptorLakeResult{Cells: cells}, err
+}
+
+// gflops returns the Gflops of a core selection and HPL build, or 0.
+func (r RaptorLakeResult) gflops(sel CoreSelection, variant string) float64 {
+	for _, c := range r.Cells {
+		if c.Cores == sel && c.Variant == variant {
+			return c.Run.Gflops
+		}
+	}
+	return 0
+}
 
 // TableIIRow is one "Enabled cores" row of Table II.
 type TableIIRow struct {
@@ -29,48 +69,12 @@ type TableIIResult struct {
 	IntelAllVsPPct float64
 }
 
-// TableII regenerates Table II. The six cells are independent simulated
-// machines, so they run concurrently (each cell is internally
-// deterministic; the table is identical to a serial run).
-func TableII(cfg Config) (TableIIResult, error) {
+// TableII is the Table II view: Gflops per core selection and build.
+func (r RaptorLakeResult) TableII() TableIIResult {
 	var res TableIIResult
-	type cellKey struct {
-		sel     CoreSelection
-		variant string
-	}
-	type cellOut struct {
-		key    cellKey
-		gflops float64
-		err    error
-	}
-	var wg sync.WaitGroup
-	results := make(chan cellOut, 6)
 	for _, sel := range []CoreSelection{EOnly, POnly, PAndE} {
-		for _, strat := range []workload.Strategy{workload.OpenBLASx86(), workload.IntelMKL()} {
-			sel, strat := sel, strat
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				run, err := AverageHPL(cfg, hw.RaptorLake, strat, sel)
-				results <- cellOut{cellKey{sel, strat.Name}, run.Gflops, err}
-			}()
-		}
-	}
-	wg.Wait()
-	close(results)
-	cells := map[CoreSelection]map[string]float64{}
-	for out := range results {
-		if out.err != nil {
-			return res, out.err
-		}
-		if cells[out.key.sel] == nil {
-			cells[out.key.sel] = map[string]float64{}
-		}
-		cells[out.key.sel][out.key.variant] = out.gflops
-	}
-	for _, sel := range []CoreSelection{EOnly, POnly, PAndE} {
-		ob := cells[sel]["OpenBLAS HPL"]
-		in := cells[sel]["Intel HPL"]
+		ob := r.gflops(sel, "OpenBLAS HPL")
+		in := r.gflops(sel, "Intel HPL")
 		res.Rows = append(res.Rows, TableIIRow{
 			Cores:     sel,
 			OpenBLAS:  ob,
@@ -78,9 +82,9 @@ func TableII(cfg Config) (TableIIResult, error) {
 			ChangePct: stats.PctChange(ob, in),
 		})
 	}
-	res.OpenBLASAllVsPPct = stats.PctChange(cells[POnly]["OpenBLAS HPL"], cells[PAndE]["OpenBLAS HPL"])
-	res.IntelAllVsPPct = stats.PctChange(cells[POnly]["Intel HPL"], cells[PAndE]["Intel HPL"])
-	return res, nil
+	res.OpenBLASAllVsPPct = stats.PctChange(r.gflops(POnly, "OpenBLAS HPL"), r.gflops(PAndE, "OpenBLAS HPL"))
+	res.IntelAllVsPPct = stats.PctChange(r.gflops(POnly, "Intel HPL"), r.gflops(PAndE, "Intel HPL"))
+	return res
 }
 
 // String renders the result in the paper's Table II layout.
@@ -113,31 +117,30 @@ type TableIIIResult struct {
 	Cells map[string]map[string]TableIIICell
 }
 
-// TableIII regenerates Table III from monitored all-core runs.
-func TableIII(cfg Config) (TableIIIResult, error) {
+// TableIII is the Table III view: the counters of the two all-core cells.
+func (r RaptorLakeResult) TableIII() TableIIIResult {
 	res := TableIIIResult{Cells: map[string]map[string]TableIIICell{}}
-	for _, strat := range []workload.Strategy{workload.OpenBLASx86(), workload.IntelMKL()} {
-		run, err := AverageHPL(cfg, hw.RaptorLake, strat, PAndE)
-		if err != nil {
-			return res, err
+	for _, c := range r.Cells {
+		if c.Cores != PAndE {
+			continue
 		}
 		var totalInstr float64
-		for _, tc := range run.ByType {
+		for _, tc := range c.Run.ByType {
 			totalInstr += tc.Instructions
 		}
-		res.Cells[strat.Name] = map[string]TableIIICell{}
-		for name, tc := range run.ByType {
+		res.Cells[c.Variant] = map[string]TableIIICell{}
+		for name, tc := range c.Run.ByType {
 			share := 0.0
 			if totalInstr > 0 {
 				share = tc.Instructions / totalInstr
 			}
-			res.Cells[strat.Name][name] = TableIIICell{
+			res.Cells[c.Variant][name] = TableIIICell{
 				LLCMissRate: tc.MissRate(),
 				InstrShare:  share,
 			}
 		}
 	}
-	return res, nil
+	return res
 }
 
 // String renders Table III in the paper's layout.
@@ -183,19 +186,19 @@ type Figures1And2Result struct {
 	ByVariant map[string]FigureSeries
 }
 
-// Figures1And2 regenerates the frequency (Fig. 1) and power/temperature
-// (Fig. 2) traces of the two all-core runs.
-func Figures1And2(cfg Config) (Figures1And2Result, error) {
+// Figures1And2 is the frequency (Fig. 1) and power/temperature (Fig. 2)
+// view: the traces of the two all-core cells.
+func (r RaptorLakeResult) Figures1And2() Figures1And2Result {
 	m := hw.RaptorLake()
 	res := Figures1And2Result{ByVariant: map[string]FigureSeries{}}
 	pcpus := cpusFor(m, POnly)
 	ecpus := m.CPUsOfType("E-core")
-	for _, strat := range []workload.Strategy{workload.OpenBLASx86(), workload.IntelMKL()} {
-		run, err := AverageHPL(cfg, hw.RaptorLake, strat, PAndE)
-		if err != nil {
-			return res, err
+	for _, c := range r.Cells {
+		if c.Cores != PAndE {
+			continue
 		}
-		fs := FigureSeries{Variant: strat.Name, Samples: run.Samples}
+		run := c.Run
+		fs := FigureSeries{Variant: c.Variant, Samples: run.Samples}
 		// Drop the first and last samples (ramp-up and completion) from
 		// the medians, as eyeballing the paper's plots does.
 		pSeries := trace.MeanFreqSeries(run.Samples, pcpus)
@@ -213,9 +216,9 @@ func Figures1And2(cfg Config) (Figures1And2Result, error) {
 		fs.PeakPowerW = stats.Max(power)
 		fs.PlateauPowerW = stats.Median(power)
 		fs.MaxTempC = stats.Max(trace.TempSeries(run.Samples))
-		res.ByVariant[strat.Name] = fs
+		res.ByVariant[c.Variant] = fs
 	}
-	return res, nil
+	return res
 }
 
 // String summarizes the Figure 1/2 shapes.

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+
+	"hetpapi/internal/trace"
 )
 
 // Golden is the committed fingerprint of one reference scenario run: the
@@ -27,16 +29,17 @@ type Golden struct {
 
 // GoldenOf condenses a run into its golden fingerprint.
 func GoldenOf(res *Result) Golden {
+	sum := trace.Summarize(res.Samples)
 	g := Golden{
 		Name:       res.Name,
 		Machine:    res.MachineName,
 		Digest:     res.Digest,
-		Samples:    res.Summary.Samples,
+		Samples:    sum.Samples,
 		Completed:  res.Completed,
 		ElapsedSec: fmt.Sprintf("%.3f", res.ElapsedSec),
 		EnergyJ:    fmt.Sprintf("%.3f", res.EnergyJ),
-		MaxTempC:   fmt.Sprintf("%.3f", res.Summary.MaxTempC),
-		MeanPowerW: fmt.Sprintf("%.3f", res.Summary.MeanPowerW),
+		MaxTempC:   fmt.Sprintf("%.3f", sum.MaxTempC),
+		MeanPowerW: fmt.Sprintf("%.3f", sum.MeanPowerW),
 	}
 	for _, w := range res.Workloads {
 		if w.Kind == WorkloadHPL && w.Done {

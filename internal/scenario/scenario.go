@@ -337,8 +337,6 @@ type Result struct {
 	ElapsedSec float64
 	// Samples is the monitoring trace.
 	Samples []trace.Sample
-	// Summary condenses the trace.
-	Summary trace.Summary
 	// ByType holds the per-core-type system-wide counter deltas.
 	ByType map[string]TypeCounters
 	// Workloads holds per-workload outcomes, in spec order.
@@ -743,7 +741,6 @@ func runOn(s *sim.Machine, spec Spec) (*Result, error) {
 	res.Completed = allDone()
 	res.ElapsedSec = s.Now() - start
 	res.Samples = rec.Samples()
-	res.Summary = trace.Summarize(res.Samples)
 	res.EnergyJ = s.Power.EnergyJ(0) - ctx.StartEnergyJ
 	res.ByType = wide.collect(s)
 

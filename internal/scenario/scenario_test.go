@@ -7,6 +7,7 @@ import (
 
 	"hetpapi/internal/hw"
 	"hetpapi/internal/scenario"
+	"hetpapi/internal/trace"
 )
 
 // TestReferenceScenariosClean runs every committed reference scenario and
@@ -156,9 +157,9 @@ func TestInjectHeatTriggersThrottle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hot.Summary.MaxTempC <= cool.Summary.MaxTempC {
-		t.Errorf("heat injection did not raise the peak: %.1f C vs %.1f C",
-			hot.Summary.MaxTempC, cool.Summary.MaxTempC)
+	hotMax, coolMax := trace.Summarize(hot.Samples).MaxTempC, trace.Summarize(cool.Samples).MaxTempC
+	if hotMax <= coolMax {
+		t.Errorf("heat injection did not raise the peak: %.1f C vs %.1f C", hotMax, coolMax)
 	}
 	// The step_wise throttle must pull the big cores below their max.
 	var minBig = 1e18

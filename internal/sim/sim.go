@@ -325,6 +325,9 @@ func (s *Machine) EnergyUJ() uint64 {
 	return uint64(s.Power.EnergyJ(power.DomainPkg) * 1e6)
 }
 
+// OnlineCPUs implements sysfs.Live: the kernel's hotplug state.
+func (s *Machine) OnlineCPUs() []int { return s.Kernel.OnlineCPUs() }
+
 // Step advances the simulation by one tick. A deadline is due when it
 // falls within the tick (at <= now + dt + eps); the tick then runs
 // either the idle path (scheduler quiescent, skipping the calls no due

@@ -295,6 +295,41 @@ func TestLiveSysfsValues(t *testing.T) {
 	}
 }
 
+// TestSysfsOnlineFollowsHotplug: a tree built after a hotplug lists only
+// the online CPUs, so the per-CPU detection strategies that walk that list
+// leave the offlined CPU out.
+func TestSysfsOnlineFollowsHotplug(t *testing.T) {
+	detected := func(groups []sysfs.Group, err error) map[int]bool {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cpus := map[int]bool{}
+		for _, g := range groups {
+			for _, c := range g.CPUs {
+				cpus[c] = true
+			}
+		}
+		return cpus
+	}
+
+	x86 := New(hw.RaptorLake(), DefaultConfig())
+	x86.SetCPUOnline(3, false)
+	fsys := sysfs.New(x86.HW, x86)
+	if got, _ := fsys.ReadFile("sys/devices/system/cpu/online"); got != "0-2,4-23" {
+		t.Errorf("online after offlining cpu3 = %q, want 0-2,4-23", got)
+	}
+	if cpus := detected(sysfs.DetectByMaxFreq(fsys)); cpus[3] || len(cpus) != 23 {
+		t.Errorf("DetectByMaxFreq grouped %d CPUs (cpu3 included: %v), want the 23 online", len(cpus), cpus[3])
+	}
+
+	arm := New(hw.OrangePi800(), DefaultConfig())
+	arm.SetCPUOnline(5, false)
+	if cpus := detected(sysfs.DetectByCapacity(sysfs.New(arm.HW, arm))); cpus[5] || len(cpus) != 5 {
+		t.Errorf("DetectByCapacity grouped %d CPUs (cpu5 included: %v), want the 5 online", len(cpus), cpus[5])
+	}
+}
+
 func TestDeterministicRuns(t *testing.T) {
 	run := func() (float64, float64) {
 		s := New(hw.RaptorLake(), DefaultConfig())

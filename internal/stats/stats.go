@@ -101,32 +101,6 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// Summary bundles the descriptive statistics of a series.
-type Summary struct {
-	N      int
-	Mean   float64
-	Median float64
-	Stddev float64
-	Min    float64
-	Max    float64
-	P5     float64
-	P95    float64
-}
-
-// Summarize computes a Summary.
-func Summarize(xs []float64) Summary {
-	return Summary{
-		N:      len(xs),
-		Mean:   Mean(xs),
-		Median: Median(xs),
-		Stddev: Stddev(xs),
-		Min:    Min(xs),
-		Max:    Max(xs),
-		P5:     Percentile(xs, 5),
-		P95:    Percentile(xs, 95),
-	}
-}
-
 // PctChange returns the percentage change from a to b: (b-a)/a * 100.
 func PctChange(a, b float64) float64 {
 	if a == 0 {

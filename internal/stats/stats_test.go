@@ -82,16 +82,6 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 5})
-	if s.N != 5 || !almost(s.Mean, 3) || !almost(s.Median, 3) || !almost(s.Min, 1) || !almost(s.Max, 5) {
-		t.Errorf("summary = %+v", s)
-	}
-	if s.P5 >= s.P95 {
-		t.Error("P5 must be below P95")
-	}
-}
-
 func TestPctChange(t *testing.T) {
 	if !almost(PctChange(200, 230), 15) {
 		t.Error("PctChange(200,230) != 15")
@@ -118,11 +108,11 @@ func TestOrderingProperty(t *testing.T) {
 		for i, r := range raw {
 			xs[i] = float64(r)
 		}
-		s := Summarize(xs)
-		return s.Min <= s.P5+1e-9 && s.P5 <= s.Median+1e-9 &&
-			s.Median <= s.P95+1e-9 && s.P95 <= s.Max+1e-9 &&
-			s.Min <= s.Mean+1e-9 && s.Mean <= s.Max+1e-9 &&
-			s.Stddev >= 0
+		lo, p5, med, p95, hi, mean := Min(xs), Percentile(xs, 5), Median(xs), Percentile(xs, 95), Max(xs), Mean(xs)
+		return lo <= p5+1e-9 && p5 <= med+1e-9 &&
+			med <= p95+1e-9 && p95 <= hi+1e-9 &&
+			lo <= mean+1e-9 && mean <= hi+1e-9 &&
+			Stddev(xs) >= 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

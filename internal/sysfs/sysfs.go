@@ -5,8 +5,8 @@
 // The tree is exposed through the standard io/fs.FS interface (paths are
 // fs-rooted, i.e. "sys/devices/cpu_atom/type" without a leading slash).
 // File contents are generated on each read, so live values such as
-// scaling_cur_freq, thermal zone temperatures and RAPL energy_uj track the
-// running simulation when a Live provider is attached.
+// scaling_cur_freq, thermal zone temperatures, RAPL energy_uj and the online
+// CPU list track the running simulation when a Live provider is attached.
 //
 // Files provided:
 //
@@ -30,7 +30,7 @@ import (
 )
 
 // Live supplies the time-varying values of the tree. A nil Live leaves the
-// dynamic files at plausible idle values.
+// dynamic files at plausible idle values, with every CPU online.
 type Live interface {
 	// CurFreqKHz returns the current frequency of a logical CPU in kHz.
 	CurFreqKHz(cpu int) int
@@ -39,6 +39,8 @@ type Live interface {
 	ZoneTempMilliC() int
 	// EnergyUJ returns the accumulated RAPL package energy in microjoules.
 	EnergyUJ() uint64
+	// OnlineCPUs returns the online logical CPU ids, ascending.
+	OnlineCPUs() []int
 }
 
 // FS is the synthetic tree. It implements io/fs.FS.
@@ -84,7 +86,12 @@ func (f *FS) build() {
 		all[i] = i
 	}
 	f.files["sys/devices/system/cpu/possible"] = static(FormatCPUList(all) + "\n")
-	f.files["sys/devices/system/cpu/online"] = static(FormatCPUList(all) + "\n")
+	f.files["sys/devices/system/cpu/online"] = func() string {
+		if f.live != nil {
+			return FormatCPUList(f.live.OnlineCPUs()) + "\n"
+		}
+		return FormatCPUList(all) + "\n"
+	}
 
 	for _, c := range m.CPUs {
 		cpu := c

@@ -74,6 +74,7 @@ type fakeLive struct {
 func (f fakeLive) CurFreqKHz(cpu int) int { return f.freq[cpu] }
 func (f fakeLive) ZoneTempMilliC() int    { return f.temp }
 func (f fakeLive) EnergyUJ() uint64       { return f.uj }
+func (f fakeLive) OnlineCPUs() []int      { return []int{0, 1, 2, 4} }
 
 func TestLiveValues(t *testing.T) {
 	live := fakeLive{freq: map[int]int{0: 4200000, 16: 3100000}, temp: 67500, uj: 123456789}
@@ -86,6 +87,9 @@ func TestLiveValues(t *testing.T) {
 	}
 	if got, _ := f.ReadFile("sys/class/powercap/intel-rapl:0/energy_uj"); got != "123456789" {
 		t.Errorf("energy_uj = %q", got)
+	}
+	if got, _ := f.ReadFile("sys/devices/system/cpu/online"); got != "0-2,4" {
+		t.Errorf("online = %q", got)
 	}
 }
 

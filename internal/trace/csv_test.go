@@ -12,6 +12,19 @@ import (
 	"hetpapi/internal/workload"
 )
 
+func TestColumnNames(t *testing.T) {
+	got := ColumnNames(2)
+	want := []string{"time_s", "cpu0_mhz", "cpu1_mhz", "temp_c", "energy_j", "power_w", "wall_w"}
+	if len(got) != len(want) {
+		t.Fatalf("ColumnNames(2) = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("column %d = %q, want %q", i, got[i], want[i])
+		}
+	}
+}
+
 func sampleTrace(t *testing.T) []Sample {
 	t.Helper()
 	s := sim.New(hw.RaptorLake(), sim.DefaultConfig())
