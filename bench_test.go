@@ -312,9 +312,10 @@ func BenchmarkHPLThreadRun(b *testing.B) {
 	t := m.TypeByName("P-core")
 	ctx := &workload.ExecContext{CPU: 0, Type: t, FreqMHz: 3000, Throughput: 1}
 	task := h.Threads()[0]
+	var st events.Stats
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		task.Run(ctx, 0.001)
+		task.Run(ctx, 0.001, &st)
 	}
 }
 

@@ -17,6 +17,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"hetpapi/internal/exp"
@@ -48,6 +49,9 @@ func main() {
 func run(machineName, variant, coresFlag string, n, nb, nRuns int, settle, hz float64, seed int64) error {
 	if hz <= 0 || hz > 1 {
 		return fmt.Errorf("-hz %g out of range (0, 1]: the recorder polls at 1 Hz and can only thin its samples", hz)
+	}
+	if period := 1 / hz; math.Abs(period-math.Round(period)) > 1e-9 {
+		return fmt.Errorf("-hz %g: the recorder polls at 1 Hz and keeps every k-th sample, so the rate must be 1, 1/2, 1/3, and so on", hz)
 	}
 	model, err := hw.LookupModel(machineName)
 	if err != nil {
@@ -120,14 +124,15 @@ func hplBuild(machineName, variant string) (workload.Strategy, int, int, error) 
 	return workload.Strategy{}, 0, 0, fmt.Errorf("no HPL build for machine %q (have raptorlake, orangepi800)", machineName)
 }
 
-// resample keeps every k-th sample to approximate a polling rate below
-// 1 Hz (the recorder itself polls at 1 Hz). Thinning the averaged trace
-// equals averaging the thinned runs: both keep the same sample indices.
+// resample keeps every k-th sample for a polling rate of 1/k Hz (the
+// recorder itself polls at 1 Hz; run rejects other rates). Thinning the
+// averaged trace equals averaging the thinned runs: both keep the same
+// sample indices.
 func resample(samples []trace.Sample, hz float64) []trace.Sample {
 	if hz >= 1 || hz <= 0 {
 		return samples
 	}
-	stride := int(1 / hz)
+	stride := int(math.Round(1 / hz))
 	var out []trace.Sample
 	for i := 0; i < len(samples); i += stride {
 		out = append(out, samples[i])

@@ -89,9 +89,10 @@ func TestMonitorErrors(t *testing.T) {
 	if err := run("raptorlake", "intel", "bogus", 3840, 192, 1, 35, 1, 1); err == nil {
 		t.Error("malformed cores must fail")
 	}
-	// The recorder polls at 1 Hz and resampling can only thin it, so a
-	// rate outside (0, 1] cannot be honoured.
-	for _, hz := range []float64{0, -1, 2} {
+	// The recorder polls at 1 Hz and resampling can only keep every k-th
+	// sample, so a rate outside (0, 1] or other than 1/k cannot be
+	// honoured.
+	for _, hz := range []float64{0, -1, 2, 0.7, 0.4} {
 		if err := run("raptorlake", "intel", "0,2", 3840, 192, 1, 35, hz, 1); err == nil {
 			t.Errorf("-hz %g must fail", hz)
 		}
@@ -105,6 +106,9 @@ func TestResample(t *testing.T) {
 	}
 	if got := resample(samples, 0.5); len(got) != 5 {
 		t.Errorf("0.5 Hz resample = %d samples, want 5", len(got))
+	}
+	if got := resample(samples, 1.0/3); len(got) != 4 || got[1].TimeSec != 3 {
+		t.Errorf("1/3 Hz resample = %v, want samples 0, 3, 6, 9", got)
 	}
 	if got := resample(samples, 0); len(got) != 10 {
 		t.Errorf("0 Hz resample must be a no-op: %d", len(got))

@@ -87,7 +87,8 @@ func run(machineName, wl string, seconds float64, coresFlag string, samplePeriod
 	}
 
 	// Open system-wide events per CPU, one attr per core-type PMU — the
-	// hybrid perf pattern.
+	// hybrid perf pattern: generic hardware events extended with the CPU's
+	// PMU type, as "perf stat -e cpu_core/instructions/" opens them.
 	type counter struct {
 		fd   int
 		kind events.Kind
@@ -96,26 +97,13 @@ func run(machineName, wl string, seconds float64, coresFlag string, samplePeriod
 	var counters []counter
 	for cpu := 0; cpu < m.NumCPUs(); cpu++ {
 		t := m.TypeOf(cpu)
-		tab := events.LookupPMU(t.PfmName)
-		for _, name := range []string{"INST_RETIRED", "CPU_CLK_UNHALTED", "CPU_CYCLES",
-			"BR_INST_RETIRED", "BR_PRED", "LONGEST_LAT_CACHE", "L2D_CACHE"} {
-			def := tab.Lookup(name)
-			if def == nil {
-				continue
-			}
-			var bits uint64
-			var kind events.Kind
-			if u := def.DefaultUmask(); u != nil {
-				bits, kind = u.Bits, u.Kind
-			} else {
-				kind = def.Kind
-			}
-			fd, err := s.Kernel.Open(perfevent.Attr{
-				Type: t.PMU.PerfType, Config: events.Encode(def.Code, bits),
-			}, -1, cpu, -1)
+		for _, id := range []uint64{events.HWInstructions, events.HWCPUCycles,
+			events.HWBranchInstructions, events.HWCacheReferences} {
+			fd, err := s.Kernel.Open(perfevent.HardwareAttr(t.PMU.PerfType, id), -1, cpu, -1)
 			if err != nil {
 				return err
 			}
+			kind, _ := events.GenericKind(id)
 			counters = append(counters, counter{fd: fd, kind: kind, typ: t.Name})
 		}
 	}
@@ -129,21 +117,9 @@ func run(machineName, wl string, seconds float64, coresFlag string, samplePeriod
 	var sampleFDs []int
 	if samplePeriod > 0 && len(procs) > 0 {
 		for i := range m.Types {
-			t := &m.Types[i]
-			tab := events.LookupPMU(t.PfmName)
-			def := tab.Lookup("INST_RETIRED")
-			if def == nil {
-				continue
-			}
-			var bits uint64
-			if u := def.DefaultUmask(); u != nil {
-				bits = u.Bits
-			}
-			fd, err := s.Kernel.Open(perfevent.Attr{
-				Type:         t.PMU.PerfType,
-				Config:       events.Encode(def.Code, bits),
-				SamplePeriod: samplePeriod,
-			}, procs[0], -1, -1)
+			attr := perfevent.HardwareAttr(m.Types[i].PMU.PerfType, events.HWInstructions)
+			attr.SamplePeriod = samplePeriod
+			fd, err := s.Kernel.Open(attr, procs[0], -1, -1)
 			if err != nil {
 				return err
 			}

@@ -71,8 +71,6 @@ type Library struct {
 	pfm    *pfmlib.Library
 	legacy bool
 
-	presets map[Preset]map[string]string // preset -> pfm pmu -> native
-
 	// One EventSet may be running per component *per attached thread* at a
 	// time (the PAPI rule the paper works around by putting multiple PMUs
 	// into ONE EventSet). Components: "cpu" (all core PMUs), "rapl",
@@ -93,11 +91,10 @@ func Init(sys *sim.Machine, opts Options) (*Library, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: libpfm4 initialization failed: %w", err)
 	}
-	l := &Library{sys: sys, pfm: pfm, legacy: opts.Legacy, active: map[componentKey]*EventSet{}}
-	if err := l.loadPresets(); err != nil {
+	if _, err := presets(); err != nil {
 		return nil, err
 	}
-	return l, nil
+	return &Library{sys: sys, pfm: pfm, legacy: opts.Legacy, active: map[componentKey]*EventSet{}}, nil
 }
 
 // Legacy reports whether the library runs in PAPI 7.1 compatibility mode.

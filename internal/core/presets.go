@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Preset is a PAPI preset event name: a portable identifier that resolves
@@ -33,12 +34,12 @@ const (
 // presetCSV is the preset definition table, playing the role of PAPI's
 // PAPI_events.csv. Each line maps (preset, pfm PMU model) to a native
 // expression: either one event or "A-B" (a DERIVED_SUB like LLC hits =
-// accesses - misses). The loader assembles the per-machine table from the
-// rows whose PMU models are active; on hybrids a preset present on several
-// core PMUs becomes a DERIVED_ADD across the per-PMU expressions. This is
-// the restructuring section V.2 describes: the old file was keyed by CPU
-// family/model, which cannot distinguish P from E cores because they share
-// one family/model.
+// accesses - misses). It is parsed once per process, and each Library
+// reads the rows of its machine's PMU models; on hybrids a preset present
+// on several core PMUs becomes a DERIVED_ADD across the per-PMU
+// expressions. This is the restructuring section V.2 describes: the old
+// file was keyed by CPU family/model, which cannot distinguish P from E
+// cores because they share one family/model.
 const presetCSV = `
 # preset,pmu,native
 PAPI_TOT_INS,adl_glc,INST_RETIRED:ANY
@@ -135,36 +136,42 @@ PAPI_L3_TCH,arm_cortex_a710,L3D_CACHE-L3D_CACHE_REFILL
 PAPI_L3_TCH,arm_cortex_a510,L2D_CACHE-L2D_CACHE_REFILL
 `
 
-// loadPresets parses presetCSV and keeps the rows whose PMU models are
-// active on this machine.
-func (l *Library) loadPresets() error {
-	l.presets = map[Preset]map[string]string{}
-	for lineNo, line := range strings.Split(presetCSV, "\n") {
+// presetTable maps a preset and a pfm PMU model to the preset's native
+// expansion there, "pmu::EVENT" form with a "-" prefix on subtracted terms.
+type presetTable map[Preset]map[string][]string
+
+// presets is presetCSV parsed, once per process; every Library reads it
+// and none writes it.
+var presets = sync.OnceValues(func() (presetTable, error) { return parsePresets(presetCSV) })
+
+// parsePresets parses a preset table in presetCSV's format. The natives
+// are checked against each model's event table by TestPresetTableResolves,
+// not here: the table is a constant, the same for every machine.
+func parsePresets(csv string) (presetTable, error) {
+	table := presetTable{}
+	for lineNo, line := range strings.Split(csv, "\n") {
 		line = strings.TrimSpace(line)
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
 		parts := strings.Split(line, ",")
 		if len(parts) != 3 {
-			return fmt.Errorf("core: presets.csv line %d malformed: %q", lineNo+1, line)
+			return nil, fmt.Errorf("core: presets.csv line %d malformed: %q", lineNo+1, line)
 		}
-		preset, pmu, expr := Preset(parts[0]), parts[1], parts[2]
-		if !l.pfm.HasPMU(pmu) {
-			continue
-		}
-		// Validate eagerly: a bad table entry should fail init, not Add.
-		for _, term := range strings.Split(expr, "-") {
-			if _, err := l.pfm.ParseEvent(pmu + "::" + term); err != nil {
-				return fmt.Errorf("core: presets.csv line %d: %v", lineNo+1, err)
+		preset, pmu := Preset(parts[0]), parts[1]
+		natives := strings.Split(parts[2], "-")
+		for i, term := range natives {
+			natives[i] = pmu + "::" + term
+			if i > 0 {
+				natives[i] = "-" + natives[i]
 			}
 		}
-		native := expr
-		if l.presets[preset] == nil {
-			l.presets[preset] = map[string]string{}
+		if table[preset] == nil {
+			table[preset] = map[string][]string{}
 		}
-		l.presets[preset][pmu] = native
+		table[preset][pmu] = natives
 	}
-	return nil
+	return table, nil
 }
 
 // PresetInfo describes a preset's availability on this machine.
@@ -188,24 +195,15 @@ type PresetInfo struct {
 // QueryPreset reports how a preset resolves on this machine.
 func (l *Library) QueryPreset(p Preset) PresetInfo {
 	info := PresetInfo{Name: p}
-	table := l.presets[p]
-	if len(table) == 0 {
-		return info
-	}
+	table, _ := presets() // Init has parsed it
 	covered := 0
 	for _, pmu := range l.defaultPMUs() {
-		expr, ok := table[pmu]
+		natives, ok := table[p][pmu]
 		if !ok {
 			continue
 		}
 		covered++
-		for i, term := range strings.Split(expr, "-") {
-			if i == 0 {
-				info.Natives = append(info.Natives, pmu+"::"+term)
-			} else {
-				info.Natives = append(info.Natives, "-"+pmu+"::"+term)
-			}
-		}
+		info.Natives = append(info.Natives, natives...)
 	}
 	sort.Strings(info.Natives)
 	info.Available = covered > 0
@@ -214,15 +212,17 @@ func (l *Library) QueryPreset(p Preset) PresetInfo {
 	return info
 }
 
-// Presets lists every preset known to the library, available or not,
-// sorted by name.
+// Presets lists every preset the table maps on at least one of the
+// machine's PMU models, available or not, sorted by name.
 func (l *Library) Presets() []PresetInfo {
-	seen := map[Preset]bool{}
+	table, _ := presets() // Init has parsed it
 	var names []string
-	for p := range l.presets {
-		if !seen[p] {
-			seen[p] = true
-			names = append(names, string(p))
+	for p, byPMU := range table {
+		for pmu := range byPMU {
+			if l.pfm.HasPMU(pmu) {
+				names = append(names, string(p))
+				break
+			}
 		}
 	}
 	sort.Strings(names)

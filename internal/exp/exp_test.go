@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -356,5 +357,24 @@ func TestAverageHPLSettlesBetweenRuns(t *testing.T) {
 	// cold machine.
 	if runs[0].Gflops != single.Gflops {
 		t.Errorf("first of three runs %.4f Gflops, single run %.4f", runs[0].Gflops, single.Gflops)
+	}
+}
+
+// TestAverageHPLSettleRefillsTurboBudget runs two Intel all-core runs too
+// short to heat the package past the settle target but long enough to
+// spend the PL2 turbo budget: the settle must wait for the budget to
+// refill, so the second run starts as the first did. The runs' elapsed
+// times differ only in the rounding of the machine clock.
+func TestAverageHPLSettleRefillsTurboBudget(t *testing.T) {
+	cfg := Quick()
+	cfg.N = 19200
+	cfg.Runs = 2
+	m := hw.RaptorLake()
+	_, runs, err := AverageHPL(cfg, m, workload.IntelMKL(), cpusFor(m, PAndE))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := runs[0].Gflops, runs[1].Gflops; math.Abs(a-b) > 1e-9*a {
+		t.Errorf("per-run Gflops %.2f then %.2f: the second run started with a spent turbo budget", a, b)
 	}
 }

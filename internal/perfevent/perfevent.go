@@ -70,6 +70,13 @@ const PerfTypeSoftware uint32 = 1
 // PERF_TYPE_HARDWARE config on hybrid systems (PERF_HW_EVENT_MASK).
 const HWConfigExtShift = 32
 
+// HardwareAttr returns the generic hardware event hwID (a PERF_COUNT_HW_*
+// id) extended with a core PMU's type: the attr perf opens for
+// cpu_core/instructions/ on a hybrid, which needs no event table.
+func HardwareAttr(pmuType uint32, hwID uint64) Attr {
+	return Attr{Type: PerfTypeHardware, Config: hwID | uint64(pmuType)<<HWConfigExtShift}
+}
+
 // Attr mirrors the perf_event_attr fields the simulator honours.
 type Attr struct {
 	// Type is the PMU type id: PerfTypeHardware or a dynamic id from

@@ -135,11 +135,8 @@ func (c *Collector) Attach(pid int) {
 	m := c.sim.HW
 	for i := range m.Types {
 		t := &m.Types[i]
-		attr := perfevent.Attr{
-			Type:         perfevent.PerfTypeHardware,
-			Config:       events.HWCPUCycles | uint64(t.PMU.PerfType)<<perfevent.HWConfigExtShift,
-			SamplePeriod: c.cfg.Period,
-		}
+		attr := perfevent.HardwareAttr(t.PMU.PerfType, events.HWCPUCycles)
+		attr.SamplePeriod = c.cfg.Period
 		fd, err := c.sim.Kernel.Open(attr, pid, -1, -1)
 		if err != nil {
 			c.mu.Lock()

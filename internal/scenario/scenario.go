@@ -850,74 +850,28 @@ type wideSet struct {
 	foreign []WideEvent
 }
 
-// wideEventSpecs returns the per-PMU (event, umask, kind) triples openWide
-// programs, resolving the per-architecture naming differences.
-func wideEventSpecs(tab *events.PMU) [](struct {
-	name  string
-	umask string
-	kind  events.Kind
-}) {
-	type spec = struct {
-		name  string
-		umask string
-		kind  events.Kind
-	}
-	var out []spec
-	out = append(out, spec{"INST_RETIRED", "", events.KindInstructions})
-	if tab.Lookup("CPU_CLK_UNHALTED") != nil {
-		out = append(out, spec{"CPU_CLK_UNHALTED", "", events.KindCycles})
-	} else {
-		out = append(out, spec{"CPU_CYCLES", "", events.KindCycles})
-	}
-	switch {
-	case tab.Lookup("LONGEST_LAT_CACHE") != nil:
-		out = append(out, spec{"LONGEST_LAT_CACHE", "REFERENCE", events.KindLLCRefs},
-			spec{"LONGEST_LAT_CACHE", "MISS", events.KindLLCMisses})
-	case tab.Lookup("L3D_CACHE") != nil:
-		out = append(out, spec{"L3D_CACHE", "", events.KindLLCRefs},
-			spec{"L3D_CACHE_REFILL", "", events.KindLLCMisses})
-	default:
-		out = append(out, spec{"L2D_CACHE", "", events.KindLLCRefs},
-			spec{"L2D_CACHE_REFILL", "", events.KindLLCMisses})
-	}
-	return out
-}
+// wideEvents are the generic hardware events the harness opens on every
+// CPU's own PMU, in open order: the four "perf stat -a" quantities.
+var wideEvents = [...]uint64{events.HWInstructions, events.HWCPUCycles, events.HWCacheReferences, events.HWCacheMisses}
 
 // openWide opens the harness's system-wide counters: on every CPU the four
 // "perf stat -a" events of the CPU's own PMU, plus — on hybrid machines —
 // one foreign-PMU instruction counter per other core type, which the
-// core-type-isolation invariant asserts never counts.
+// core-type-isolation invariant asserts never counts. Each is a generic
+// hardware event extended with the PMU's type, as perf opens them.
 func openWide(s *sim.Machine) (*wideSet, error) {
 	ws := &wideSet{}
 	m := s.HW
 	for cpu := 0; cpu < m.NumCPUs(); cpu++ {
 		t := m.TypeOf(cpu)
-		tab := events.LookupPMU(t.PfmName)
-		if tab == nil {
-			return nil, fmt.Errorf("no event table for PMU %q", t.PfmName)
-		}
-		for _, spec := range wideEventSpecs(tab) {
-			def := tab.Lookup(spec.name)
-			if def == nil {
-				return nil, fmt.Errorf("PMU %q has no %s event", t.PfmName, spec.name)
-			}
-			var bits uint64
-			if spec.umask != "" {
-				if u := def.Umask(spec.umask); u != nil {
-					bits = u.Bits
-				}
-			} else if u := def.DefaultUmask(); u != nil {
-				bits = u.Bits
-			}
-			attr := perfevent.Attr{
-				Type:   t.PMU.PerfType,
-				Config: events.Encode(def.Code, bits),
-			}
+		for _, id := range wideEvents {
+			attr := perfevent.HardwareAttr(t.PMU.PerfType, id)
 			fd, err := s.Kernel.Open(attr, -1, cpu, -1)
 			if err != nil {
-				return nil, fmt.Errorf("opening system-wide %s on cpu%d: %w", spec.name, cpu, err)
+				return nil, fmt.Errorf("opening system-wide %s/%s/ on cpu%d: %w", t.PMU.Name, events.GenericName(id), cpu, err)
 			}
-			ws.events = append(ws.events, WideEvent{FD: fd, CPU: cpu, TypeName: t.Name, Kind: spec.kind, attr: attr})
+			kind, _ := events.GenericKind(id)
+			ws.events = append(ws.events, WideEvent{FD: fd, CPU: cpu, TypeName: t.Name, Kind: kind, attr: attr})
 		}
 		// Foreign-PMU probes: this CPU must never feed other types' PMUs.
 		for i := range m.Types {
@@ -925,25 +879,10 @@ func openWide(s *sim.Machine) (*wideSet, error) {
 			if ft.Name == t.Name {
 				continue
 			}
-			ftab := events.LookupPMU(ft.PfmName)
-			if ftab == nil {
-				continue
-			}
-			def := ftab.Lookup("INST_RETIRED")
-			if def == nil {
-				continue
-			}
-			var bits uint64
-			if u := def.DefaultUmask(); u != nil {
-				bits = u.Bits
-			}
-			attr := perfevent.Attr{
-				Type:   ft.PMU.PerfType,
-				Config: events.Encode(def.Code, bits),
-			}
+			attr := perfevent.HardwareAttr(ft.PMU.PerfType, events.HWInstructions)
 			fd, err := s.Kernel.Open(attr, -1, cpu, -1)
 			if err != nil {
-				return nil, fmt.Errorf("opening foreign probe %s/%s on cpu%d: %w", ft.PfmName, "INST_RETIRED", cpu, err)
+				return nil, fmt.Errorf("opening foreign probe %s/instructions/ on cpu%d: %w", ft.PMU.Name, cpu, err)
 			}
 			ws.foreign = append(ws.foreign, WideEvent{FD: fd, CPU: cpu, TypeName: ft.Name, Kind: events.KindInstructions, attr: attr})
 		}

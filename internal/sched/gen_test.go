@@ -10,6 +10,7 @@ package sched
 import (
 	"testing"
 
+	"hetpapi/internal/events"
 	"hetpapi/internal/hw"
 	"hetpapi/internal/workload"
 )
@@ -54,7 +55,7 @@ func TestGenBumpsOnMutations(t *testing.T) {
 	// Run the task to completion, then tick so the scheduler reaps it.
 	ctx := &workload.ExecContext{CPU: 0, Type: m.TypeOf(0), FreqMHz: 3000, Throughput: 1}
 	for i := 0; i < 10 && !p.Task.Done(); i++ {
-		p.Task.Run(ctx, 0.001)
+		p.Task.Run(ctx, 0.001, new(events.Stats))
 	}
 	if !p.Task.Done() {
 		t.Fatal("spin did not finish")
@@ -94,7 +95,7 @@ func TestQuiescent(t *testing.T) {
 	// Finish the task: still placed (and now done), both disqualify.
 	ctx := &workload.ExecContext{CPU: 0, Type: m.TypeOf(0), FreqMHz: 3000, Throughput: 1}
 	for i := 0; i < 10 && !p.Task.Done(); i++ {
-		p.Task.Run(ctx, 0.001)
+		p.Task.Run(ctx, 0.001, new(events.Stats))
 	}
 	if s.Quiescent() {
 		t.Fatal("done-but-unreaped process: not quiescent")

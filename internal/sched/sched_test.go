@@ -3,6 +3,7 @@ package sched
 import (
 	"testing"
 
+	"hetpapi/internal/events"
 	"hetpapi/internal/hw"
 	"hetpapi/internal/workload"
 )
@@ -93,7 +94,7 @@ func TestReapsDoneTasks(t *testing.T) {
 	// Run the task to completion.
 	typ := m.TypeOf(cpu)
 	ctx := &workload.ExecContext{CPU: cpu, Type: typ, FreqMHz: typ.MaxFreqMHz, Throughput: 1}
-	spin.Run(ctx, 0.002)
+	spin.Run(ctx, 0.002, new(events.Stats))
 	s.Tick(0.001)
 	if s.RunningOn(cpu) != nil {
 		t.Fatal("done task still occupies its CPU")

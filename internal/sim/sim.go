@@ -452,13 +452,7 @@ func (s *Machine) busyTick(balance, dvfs bool, dt float64) {
 			FreqMHz:    freq,
 			Throughput: throughput,
 		}
-		task := s.slotProc[cpu].Task
-		var activity float64
-		if sr, ok := task.(workload.StatsRunner); ok {
-			activity = sr.RunStats(&s.execCtx, dt, &s.statsScratch)
-		} else {
-			s.statsScratch, activity = task.Run(&s.execCtx, dt)
-		}
+		activity := s.slotProc[cpu].Task.Run(&s.execCtx, dt, &s.statsScratch)
 		if kernelLive {
 			s.Kernel.TaskExec(s.slotProc[cpu].PID, cpu, dt, s.statsScratch)
 		}
@@ -513,17 +507,33 @@ func (s *Machine) RunUntil(cond func() bool, maxSeconds float64) bool {
 
 // Settle idles the machine (no new work) until the thermal zone cools to
 // targetC or reaches its idle floor, mirroring the paper's protocol of
-// waiting for the package to settle at 35 degC between runs. It returns the
+// waiting for the package to settle at 35 degC between runs. On a machine
+// with a PL1 limit it also waits for the PL2 turbo budget to refill, so a
+// run that never heats the package past targetC does not hand the next
+// run a spent budget; where idle power cannot refill it, it stops waiting
+// for the budget. It waits at most 3600 simulated seconds and returns the
 // simulated seconds spent waiting.
 func (s *Machine) Settle(targetC float64) float64 {
 	start := s.now
-	floorReached := func() bool {
+	// Package power before the first idle step is the last busy tick's, so
+	// the idle floor and the refill rate are judged only after one.
+	idled := func() bool { return s.now > start }
+	cooled := func() bool {
 		if s.Thermal.TempC() <= targetC {
 			return true
 		}
 		// Idle steady state: give up once cooling has effectively stopped.
-		return s.Thermal.TempC() <= s.Thermal.SteadyStateC(s.Power.PkgPowerW())+0.05
+		return idled() && s.Thermal.TempC() <= s.Thermal.SteadyStateC(s.Power.PkgPowerW())+0.05
 	}
-	s.RunUntil(floorReached, 3600)
+	refilled := func() bool {
+		spec := s.Power.Spec()
+		if spec.PL1Watts <= 0 || s.Power.TurboBudgetJ() >= spec.PL2BudgetJ {
+			return true
+		}
+		// The budget refills at PL1 minus package power: never, where the
+		// machine idles at or above PL1.
+		return idled() && s.Power.PkgPowerW() >= spec.PL1Watts
+	}
+	s.RunUntil(func() bool { return cooled() && refilled() }, 3600)
 	return s.now - start
 }

@@ -272,6 +272,61 @@ func TestSettleCoolsAndRefillsBudget(t *testing.T) {
 	}
 }
 
+// spendTurboBudget runs an all-core HPL on a Raptor Lake, which spends
+// most of the PL2 budget, then cools the package to 30 degC, below any settle
+// target: a machine a temperature-only settle would hand on as it is.
+func spendTurboBudget(t *testing.T) *Machine {
+	t.Helper()
+	m := hw.RaptorLake()
+	s := New(m, DefaultConfig())
+	runHPL(t, s, workload.IntelMKL(), m.FirstCPUPerCore(), 19200)
+	if left, full := s.Power.TurboBudgetJ(), s.Power.Spec().PL2BudgetJ; left > full/2 {
+		t.Fatalf("turbo budget %.1f of %.1f J left after an all-core HPL", left, full)
+	}
+	s.Thermal.SetTempC(30)
+	return s
+}
+
+func TestSettleWaitsForTurboBudget(t *testing.T) {
+	s := spendTurboBudget(t)
+	// A run that ends on its PL1 plateau leaves the last tick's package
+	// power at the limit: whether idle refills the budget must be judged
+	// from an idle tick, not from that one.
+	s.Power.Step(s.Power.Spec().PL1Watts, 1e-9)
+	waited := s.Settle(35)
+	if full := s.Power.Spec().PL2BudgetJ; s.Power.TurboBudgetJ() < full {
+		t.Fatalf("settled with %.1f of %.1f J turbo budget", s.Power.TurboBudgetJ(), full)
+	}
+	if waited <= 0 {
+		t.Fatal("refilling the budget must take simulated time")
+	}
+}
+
+func TestSettleStopsWhereIdleCannotRefill(t *testing.T) {
+	s := spendTurboBudget(t)
+	// A PL1 below idle package power drains the budget even at idle.
+	s.Power.SetLimits(1, s.Power.Spec().PL2Watts)
+	if waited := s.Settle(35); waited > 0.01 {
+		t.Fatalf("settle waited %.3f s for a budget idle power cannot refill", waited)
+	}
+}
+
+func TestSettleJudgesIdleFloorFromAnIdleTick(t *testing.T) {
+	// The RK3399 has no PL1, so only the temperature is waited for. Its
+	// last tick drew 20 W, whose steady state is hotter than the package:
+	// that tick's power must not pass for the idle floor.
+	s := New(hw.OrangePi800(), DefaultConfig())
+	s.Power.Step(20, 1e-9)
+	s.Thermal.SetTempC(70)
+	if steady := s.Thermal.SteadyStateC(s.Power.PkgPowerW()); steady <= 70 {
+		t.Fatalf("steady state at the last tick's power is %.1f degC, want above 70", steady)
+	}
+	s.Settle(50)
+	if got := s.Thermal.TempC(); got > 50 {
+		t.Fatalf("settle returned at %.1f degC, above its 50 degC target", got)
+	}
+}
+
 func TestLiveSysfsValues(t *testing.T) {
 	m := hw.RaptorLake()
 	s := New(m, DefaultConfig())

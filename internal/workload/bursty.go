@@ -67,9 +67,10 @@ func (l *BurstyLoop) InFastPhase() bool {
 }
 
 // Run implements Task.
-func (l *BurstyLoop) Run(ctx *ExecContext, dt float64) (events.Stats, float64) {
+func (l *BurstyLoop) Run(ctx *ExecContext, dt float64, out *events.Stats) float64 {
 	if l.Done() || dt <= 0 || ctx.FreqMHz <= 0 {
-		return events.Stats{}, 0
+		*out = events.Stats{}
+		return 0
 	}
 	factor := 1.0
 	if !l.InFastPhase() {
@@ -93,6 +94,6 @@ func (l *BurstyLoop) Run(ctx *ExecContext, dt float64) (events.Stats, float64) {
 		}
 	}
 	l.totalInstr += retired
-	st := Synth(ctx.Type, retired, cycles, dt, ScalarProfile())
-	return st, 0.3 + 0.4*factor
+	*out = Synth(ctx.Type, retired, cycles, dt, ScalarProfile())
+	return 0.3 + 0.4*factor
 }

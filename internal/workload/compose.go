@@ -13,6 +13,7 @@ type Sequence struct {
 	name  string
 	tasks []Task
 	idx   int
+	phase events.Stats // what the current phase wrote this slice
 }
 
 // NewSequence returns a task running the given tasks in order.
@@ -52,8 +53,8 @@ func (s *Sequence) PhaseName() string {
 
 // Run implements Task, delegating to the current phase and advancing when
 // it completes. A slice that straddles a phase boundary is split.
-func (s *Sequence) Run(ctx *ExecContext, dt float64) (events.Stats, float64) {
-	var total events.Stats
+func (s *Sequence) Run(ctx *ExecContext, dt float64, out *events.Stats) float64 {
+	*out = events.Stats{}
 	var activity float64
 	remaining := dt
 	for remaining > 1e-12 && !s.Done() {
@@ -62,8 +63,8 @@ func (s *Sequence) Run(ctx *ExecContext, dt float64) (events.Stats, float64) {
 			s.idx++
 			continue
 		}
-		st, act := cur.Run(ctx, remaining)
-		total.Add(st)
+		act := cur.Run(ctx, remaining, &s.phase)
+		out.Add(s.phase)
 		// Weight activity by the share of the slice each phase used; the
 		// common case is one phase per slice.
 		if activity == 0 {
@@ -81,7 +82,7 @@ func (s *Sequence) Run(ctx *ExecContext, dt float64) (events.Stats, float64) {
 		// are done with this dt.
 		break
 	}
-	return total, activity
+	return activity
 }
 
 // Branchy is a branch-heavy, poorly predicted workload (pointer chasing,
@@ -108,9 +109,10 @@ func (b *Branchy) Ready() bool { return !b.Done() }
 func (b *Branchy) Done() bool { return b.instrLeft <= 0 }
 
 // Run implements Task.
-func (b *Branchy) Run(ctx *ExecContext, dt float64) (events.Stats, float64) {
+func (b *Branchy) Run(ctx *ExecContext, dt float64, out *events.Stats) float64 {
 	if b.Done() || dt <= 0 || ctx.FreqMHz <= 0 {
-		return events.Stats{}, 0
+		*out = events.Stats{}
+		return 0
 	}
 	// Mispredictions gut the effective IPC, and the little in-order cores
 	// suffer relatively less (they were not speculating as deep anyway).
@@ -135,5 +137,6 @@ func (b *Branchy) Run(ctx *ExecContext, dt float64) (events.Stats, float64) {
 		LLCMissRate:    0.35,
 		StallFrac:      0.45,
 	}
-	return Synth(ctx.Type, instr, cycles, dt, p), 0.5
+	*out = Synth(ctx.Type, instr, cycles, dt, p)
+	return 0.5
 }

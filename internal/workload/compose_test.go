@@ -21,7 +21,7 @@ func TestSequenceRunsPhasesInOrder(t *testing.T) {
 	var total float64
 	ticks := 0
 	for !seq.Done() && ticks < 10000 {
-		st, act := seq.Run(ctx, 0.001)
+		st, act := runSlice(seq, ctx, 0.001)
 		total += st.Instructions
 		if act < 0 || act > 1 {
 			t.Fatalf("activity %g", act)
@@ -42,7 +42,7 @@ func TestSequenceRunsPhasesInOrder(t *testing.T) {
 		t.Fatalf("total instructions %g below the loops' 2e7", total)
 	}
 	// Running a done sequence is inert.
-	if st, _ := seq.Run(ctx, 0.001); st.Instructions != 0 {
+	if st, _ := runSlice(seq, ctx, 0.001); st.Instructions != 0 {
 		t.Fatal("done sequence retired instructions")
 	}
 }
@@ -56,7 +56,7 @@ func TestSequencePhaseIndexAdvances(t *testing.T) {
 	seen := map[int]bool{}
 	for i := 0; i < 100 && !seq.Done(); i++ {
 		seen[seq.PhaseIndex()] = true
-		seq.Run(ctx, 0.001)
+		runSlice(seq, ctx, 0.001)
 	}
 	if !seen[0] || !seen[1] {
 		t.Fatalf("phases observed: %v", seen)
@@ -69,7 +69,7 @@ func TestBranchyProfile(t *testing.T) {
 	ctx := pCtx(m)
 	var instr, branches, misses, cycles float64
 	for i := 0; i < 100000 && !b.Done(); i++ {
-		st, _ := b.Run(ctx, 0.001)
+		st, _ := runSlice(b, ctx, 0.001)
 		instr += st.Instructions
 		branches += st.Branches
 		misses += st.BranchMisses

@@ -274,16 +274,7 @@ func (t *HPLThread) Done() bool { return t.h.done }
 // spin-waiting at the barrier, retiring real non-FP instructions — which is
 // what skews the per-core-type instruction balance on hybrid-oblivious
 // builds (Table III).
-func (t *HPLThread) Run(ctx *ExecContext, dt float64) (events.Stats, float64) {
-	var st events.Stats
-	activity := t.RunStats(ctx, dt, &st)
-	return st, activity
-}
-
-// RunStats implements StatsRunner: identical to Run, but writes the event
-// bundle into out instead of returning the 19-field struct by value —
-// the simulator's hot loop calls this form to avoid the copies.
-func (t *HPLThread) RunStats(ctx *ExecContext, dt float64, out *events.Stats) float64 {
+func (t *HPLThread) Run(ctx *ExecContext, dt float64, out *events.Stats) float64 {
 	h := t.h
 	*out = events.Stats{}
 	if h.done || dt <= 0 || ctx.FreqMHz <= 0 {

@@ -48,7 +48,7 @@ func driveHPL(t *testing.T, h *HPL, ctxs []*ExecContext, tick float64) (elapsed 
 	tasks := h.Threads()
 	for i := 0; i < 10_000_000 && !h.Done(); i++ {
 		for j, task := range tasks {
-			task.Run(ctxs[j], tick)
+			runSlice(task, ctxs[j], tick)
 		}
 		elapsed += tick
 	}
@@ -115,7 +115,7 @@ func TestStaticInstructionShareSkewsToFastCores(t *testing.T) {
 	var pInstr, eInstr float64
 	for i := 0; i < 10_000_000 && !h.Done(); i++ {
 		for j, task := range tasks {
-			st, _ := task.Run(ctxs[j], 0.001)
+			st, _ := runSlice(task, ctxs[j], 0.001)
 			if ctxs[j].Type.Class == hw.Performance {
 				pInstr += st.Instructions
 			} else {
@@ -149,7 +149,7 @@ func TestLLCMissRatesMatchStrategy(t *testing.T) {
 		var refs, miss [2]float64
 		for i := 0; i < 10_000_000 && !h.Done(); i++ {
 			for j, task := range tasks {
-				st, _ := task.Run(ctxs[j], 0.001)
+				st, _ := runSlice(task, ctxs[j], 0.001)
 				c := ctxs[j].Type.Class
 				refs[c] += st.LLCRefs
 				miss[c] += st.LLCMisses
@@ -234,7 +234,7 @@ func TestHPLTerminationProperty(t *testing.T) {
 		ctxs := mixedCtxs(m, threads, 0)
 		for i := 0; i < 10_000_000 && !h.Done(); i++ {
 			for j, task := range h.Threads() {
-				task.Run(ctxs[j], 0.01)
+				runSlice(task, ctxs[j], 0.01)
 			}
 		}
 		return h.Done() && math.Abs(h.Progress()-1) < 1e-6

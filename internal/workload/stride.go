@@ -126,9 +126,10 @@ func (s *Stride) Rates(t *hw.CoreType) StrideMissRates {
 }
 
 // Run implements Task.
-func (s *Stride) Run(ctx *ExecContext, dt float64) (events.Stats, float64) {
+func (s *Stride) Run(ctx *ExecContext, dt float64, out *events.Stats) float64 {
 	if s.Done() || dt <= 0 || ctx.FreqMHz <= 0 {
-		return events.Stats{}, 0
+		*out = events.Stats{}
+		return 0
 	}
 	r := s.Rates(ctx.Type)
 	cpi := StrideCPI(ctx.Type, r)
@@ -155,7 +156,8 @@ func (s *Stride) Run(ctx *ExecContext, dt float64) (events.Stats, float64) {
 		LLCMissRate:    r.LLC,
 		StallFrac:      1 - busyFrac,
 	}
-	return Synth(ctx.Type, instr, cycles, dt, p), 0.25 + 0.5*busyFrac
+	*out = Synth(ctx.Type, instr, cycles, dt, p)
+	return 0.25 + 0.5*busyFrac
 }
 
 // String describes the geometry for test output.

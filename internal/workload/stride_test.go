@@ -64,7 +64,7 @@ func TestStrideDeterministic(t *testing.T) {
 		ctx := strideCtx(t)
 		var out []events.Stats
 		for !s.Done() {
-			st, _ := s.Run(ctx, 1e-3)
+			st, _ := runSlice(s, ctx, 1e-3)
 			out = append(out, st)
 		}
 		return out
@@ -86,7 +86,7 @@ func TestStrideInstructionConservation(t *testing.T) {
 	ctx := strideCtx(t)
 	var got float64
 	for !s.Done() {
-		st, _ := s.Run(ctx, 1e-3)
+		st, _ := runSlice(s, ctx, 1e-3)
 		got += st.Instructions
 	}
 	if diff := got - want; diff > 1e-3 || diff < -1e-3 {
@@ -104,7 +104,7 @@ func TestStrideClosedFormLLCMisses(t *testing.T) {
 	chain := s.Rates(ctx.Type).Chain()
 	var misses, refs float64
 	for !s.Done() {
-		st, _ := s.Run(ctx, 1e-3)
+		st, _ := runSlice(s, ctx, 1e-3)
 		misses += st.LLCMisses
 		refs += st.LLCRefs
 	}
@@ -123,8 +123,8 @@ func TestStrideDRAMBoundSlowerThanCacheResident(t *testing.T) {
 	ctx := strideCtx(t)
 	fast := NewStride("cached", 10e6, 64, 16, 36*1024)
 	slow := NewStride("dram", 10e6, 64, 128*1024, 36*1024)
-	fs, _ := fast.Run(ctx, 1e-3)
-	ss, _ := slow.Run(ctx, 1e-3)
+	fs, _ := runSlice(fast, ctx, 1e-3)
+	ss, _ := runSlice(slow, ctx, 1e-3)
 	if ss.Instructions >= fs.Instructions {
 		t.Fatalf("DRAM-bound sweep retired %v instr/tick, cache-resident only %v",
 			ss.Instructions, fs.Instructions)
@@ -135,7 +135,7 @@ func TestStrideDRAMBoundSlowerThanCacheResident(t *testing.T) {
 	bctx := *ctx
 	bctx.Type = &bare
 	slow2 := NewStride("dram-default-pen", 10e6, 64, 128*1024, 36*1024)
-	bs, _ := slow2.Run(&bctx, 1e-3)
+	bs, _ := runSlice(slow2, &bctx, 1e-3)
 	if bs.Instructions >= fs.Instructions {
 		t.Fatalf("default-penalty sweep not slower than cache-resident: %v vs %v",
 			bs.Instructions, fs.Instructions)

@@ -4,9 +4,9 @@
 // (a fixed instruction loop, a spin loop, and a memory streamer).
 //
 // A Task is the schedulable unit. Each simulation tick the scheduler places
-// tasks on CPUs and calls Run with the core's execution context; Run returns
-// the architectural event quantities produced in that slice plus a power
-// activity factor in [0, 1] that feeds the power model.
+// tasks on CPUs and calls Run with the core's execution context; Run writes
+// the architectural event quantities produced in that slice and returns a
+// power activity factor in [0, 1] that feeds the power model.
 package workload
 
 import (
@@ -44,10 +44,11 @@ type Task interface {
 	// Done reports whether the task has finished; done tasks are removed
 	// from the scheduler.
 	Done() bool
-	// Run executes the task for dt seconds on the context, returning the
-	// produced event quantities and the power activity factor in [0, 1]
-	// (1 = full vector load, small values = spin or idle wait).
-	Run(ctx *ExecContext, dt float64) (events.Stats, float64)
+	// Run executes the task for dt seconds on the context, overwriting
+	// out with the produced event quantities, and returns the power
+	// activity factor in [0, 1] (1 = full vector load, small values = spin
+	// or idle wait).
+	Run(ctx *ExecContext, dt float64, out *events.Stats) float64
 }
 
 // Phased is implemented by tasks with distinguishable internal phases
@@ -140,14 +141,6 @@ func Synth(t *hw.CoreType, instr, cycles, dt float64, p Profile) events.Stats {
 	}
 }
 
-// StatsRunner is an optional Task fast path: RunStats behaves exactly
-// like Run but writes the event bundle into out (fully overwriting it)
-// instead of returning the 19-field struct by value. The simulator's hot
-// loop prefers this form; Run must stay equivalent for everything else.
-type StatsRunner interface {
-	RunStats(ctx *ExecContext, dtSec float64, out *events.Stats) float64
-}
-
 // SpinStats returns the quantities of spin-waiting for dt seconds.
 func SpinStats(ctx *ExecContext, dt float64) events.Stats {
 	cycles := ctx.CyclesIn(dt) * ctx.Throughput
@@ -196,9 +189,10 @@ func (l *InstructionLoop) RepsDone() int { return l.repsDone }
 func (l *InstructionLoop) TotalInstructions() float64 { return l.totalInstr }
 
 // Run implements Task.
-func (l *InstructionLoop) Run(ctx *ExecContext, dt float64) (events.Stats, float64) {
+func (l *InstructionLoop) Run(ctx *ExecContext, dt float64, out *events.Stats) float64 {
 	if l.Done() || dt <= 0 || ctx.FreqMHz <= 0 {
-		return events.Stats{}, 0
+		*out = events.Stats{}
+		return 0
 	}
 	cycles := ctx.CyclesIn(dt) * ctx.Throughput
 	budget := cycles * ctx.Type.BaseIPC
@@ -218,8 +212,8 @@ func (l *InstructionLoop) Run(ctx *ExecContext, dt float64) (events.Stats, float
 	}
 	l.totalInstr += retired
 	usedCycles := retired / ctx.Type.BaseIPC
-	st := Synth(ctx.Type, retired, usedCycles, dt*usedCycles/cycles, ScalarProfile())
-	return st, 0.6 * usedCycles / cycles
+	*out = Synth(ctx.Type, retired, usedCycles, dt*usedCycles/cycles, ScalarProfile())
+	return 0.6 * usedCycles / cycles
 }
 
 // Spin is a pure busy-wait task running for a fixed simulated duration.
@@ -243,15 +237,17 @@ func (s *Spin) Ready() bool { return !s.Done() }
 func (s *Spin) Done() bool { return s.remaining <= 0 }
 
 // Run implements Task.
-func (s *Spin) Run(ctx *ExecContext, dt float64) (events.Stats, float64) {
+func (s *Spin) Run(ctx *ExecContext, dt float64, out *events.Stats) float64 {
 	if s.Done() {
-		return events.Stats{}, 0
+		*out = events.Stats{}
+		return 0
 	}
 	if dt > s.remaining {
 		dt = s.remaining
 	}
 	s.remaining -= dt
-	return SpinStats(ctx, dt), ctx.Type.SpinActivity
+	*out = SpinStats(ctx, dt)
+	return ctx.Type.SpinActivity
 }
 
 // Stream is a memory-streaming task with a configurable LLC miss rate; it
@@ -287,9 +283,10 @@ func (s *Stream) Ready() bool { return !s.Done() }
 func (s *Stream) Done() bool { return s.instrLeft <= 0 }
 
 // Run implements Task.
-func (s *Stream) Run(ctx *ExecContext, dt float64) (events.Stats, float64) {
+func (s *Stream) Run(ctx *ExecContext, dt float64, out *events.Stats) float64 {
 	if s.Done() {
-		return events.Stats{}, 0
+		*out = events.Stats{}
+		return 0
 	}
 	// Memory-bound: effective IPC well below base, worse on the small core.
 	ipc := ctx.Type.BaseIPC * 0.4
@@ -310,5 +307,6 @@ func (s *Stream) Run(ctx *ExecContext, dt float64) (events.Stats, float64) {
 		LLCMissRate:    s.miss * (0.95 + 0.1*s.rng.Float64()),
 		StallFrac:      0.6,
 	}
-	return Synth(ctx.Type, instr, cycles, dt, p), 0.7
+	*out = Synth(ctx.Type, instr, cycles, dt, p)
+	return 0.7
 }

@@ -4,8 +4,17 @@ import (
 	"math"
 	"testing"
 
+	"hetpapi/internal/events"
 	"hetpapi/internal/hw"
 )
+
+// runSlice runs one slice of task into a fresh Stats and returns it with
+// the activity factor.
+func runSlice(task Task, ctx *ExecContext, dt float64) (events.Stats, float64) {
+	var st events.Stats
+	act := task.Run(ctx, dt, &st)
+	return st, act
+}
 
 func pCtx(m *hw.Machine) *ExecContext {
 	t := m.TypeByName("P-core")
@@ -63,7 +72,7 @@ func TestInstructionLoopExactCount(t *testing.T) {
 	ctx := pCtx(m)
 	var total float64
 	for i := 0; i < 100000 && !loop.Done(); i++ {
-		st, _ := loop.Run(ctx, 0.001)
+		st, _ := runSlice(loop, ctx, 0.001)
 		total += st.Instructions
 	}
 	if !loop.Done() {
@@ -79,7 +88,7 @@ func TestInstructionLoopExactCount(t *testing.T) {
 		t.Fatalf("TotalInstructions = %g", loop.TotalInstructions())
 	}
 	// Running a finished loop is a no-op.
-	st, act := loop.Run(ctx, 0.001)
+	st, act := runSlice(loop, ctx, 0.001)
 	if st.Instructions != 0 || act != 0 {
 		t.Error("finished loop must not retire instructions")
 	}
@@ -91,7 +100,7 @@ func TestInstructionLoopFasterOnPCore(t *testing.T) {
 		loop := NewInstructionLoop("t", 1e6, 100)
 		ticks := 0
 		for !loop.Done() {
-			loop.Run(ctx, 0.001)
+			runSlice(loop, ctx, 0.001)
 			ticks++
 			if ticks > 1e6 {
 				t.Fatal("runaway")
@@ -111,7 +120,7 @@ func TestSpinRunsForDuration(t *testing.T) {
 	ctx := pCtx(m)
 	ticks := 0
 	for !s.Done() {
-		st, act := s.Run(ctx, 0.001)
+		st, act := runSlice(s, ctx, 0.001)
 		if st.Instructions <= 0 {
 			t.Fatal("spin must retire instructions")
 		}
@@ -137,7 +146,7 @@ func TestStreamMissRate(t *testing.T) {
 	ctx := pCtx(m)
 	var llc, miss float64
 	for i := 0; i < 100000 && !s.Done(); i++ {
-		st, _ := s.Run(ctx, 0.001)
+		st, _ := runSlice(s, ctx, 0.001)
 		llc += st.LLCRefs
 		miss += st.LLCMisses
 	}
@@ -161,14 +170,14 @@ func TestZeroDtSafe(t *testing.T) {
 	m := hw.RaptorLake()
 	ctx := pCtx(m)
 	loop := NewInstructionLoop("t", 1e6, 1)
-	if st, _ := loop.Run(ctx, 0); st.Instructions != 0 {
+	if st, _ := runSlice(loop, ctx, 0); st.Instructions != 0 {
 		t.Error("zero dt must retire nothing")
 	}
 	h, err := NewHPL(HPLConfig{N: 960, NB: 192, Threads: 2, Strategy: OpenBLASx86()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st, _ := h.Threads()[0].Run(ctx, 0); st.Instructions != 0 {
+	if st, _ := runSlice(h.Threads()[0], ctx, 0); st.Instructions != 0 {
 		t.Error("zero dt must retire nothing")
 	}
 }
@@ -181,7 +190,7 @@ func TestBurstyLoopExactCountAndPhases(t *testing.T) {
 	ticks := 0
 	for !loop.Done() && ticks < 1_000_000 {
 		fast := loop.InFastPhase()
-		st, act := loop.Run(ctx, 0.001)
+		st, act := runSlice(loop, ctx, 0.001)
 		if fast {
 			fastInstr += st.Instructions
 		} else {
@@ -210,7 +219,43 @@ func TestBurstyLoopExactCountAndPhases(t *testing.T) {
 		t.Fatal("bad parameters not defaulted")
 	}
 	// Finished loop is inert.
-	if st, act := loop.Run(ctx, 0.001); st.Instructions != 0 || act != 0 {
+	if st, act := runSlice(loop, ctx, 0.001); st.Instructions != 0 || act != 0 {
 		t.Fatal("finished bursty loop must be inert")
+	}
+}
+
+// TestRunOverwritesOut holds every task to Run's contract: out is fully
+// overwritten, whatever it held, on a working slice and on an inert one.
+func TestRunOverwritesOut(t *testing.T) {
+	m := hw.RaptorLake()
+	ctx := pCtx(m)
+	hpl := func() Task {
+		h, err := NewHPL(HPLConfig{N: 3840, NB: 192, Threads: 1, Strategy: IntelMKL(), Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h.Threads()[0]
+	}
+	for name, mk := range map[string]func() Task{
+		"loop":     func() Task { return NewInstructionLoop("w", 1e6, 10) },
+		"spin":     func() Task { return NewSpin("w", 1) },
+		"stream":   func() Task { return NewStream("w", 1e9, 0.5, 1) },
+		"stride":   func() Task { return NewStride("w", 1e9, 64, 4096, 30720) },
+		"bursty":   func() Task { return NewBurstyLoop("w", 1e6, 10, 0.01, 0.3) },
+		"branchy":  func() Task { return NewBranchy("w", 1e9, 1) },
+		"sequence": func() Task { return NewSequence("w", NewSpin("a", 1), NewSpin("b", 1)) },
+		"hpl":      hpl,
+	} {
+		dirty := events.Stats{Cycles: 1, Instructions: 2, LLCRefs: 3, Slots: 4, Stores: 5}
+		clean, used := mk(), mk()
+		want, _ := runSlice(clean, ctx, 0.001)
+		used.Run(ctx, 0.001, &dirty)
+		if dirty != want {
+			t.Errorf("%s: working slice into a dirty Stats = %+v, want %+v", name, dirty, want)
+		}
+		dirty = events.Stats{Cycles: 1, Instructions: 2}
+		if used.Run(ctx, 0, &dirty); dirty != (events.Stats{}) {
+			t.Errorf("%s: empty slice left %+v", name, dirty)
+		}
 	}
 }
