@@ -860,8 +860,11 @@ var wideEvents = [...]uint64{events.HWInstructions, events.HWCPUCycles, events.H
 // core-type-isolation invariant asserts never counts. Each is a generic
 // hardware event extended with the PMU's type, as perf opens them.
 func openWide(s *sim.Machine) (*wideSet, error) {
-	ws := &wideSet{}
 	m := s.HW
+	ws := &wideSet{
+		events:  make([]WideEvent, 0, m.NumCPUs()*len(wideEvents)),
+		foreign: make([]WideEvent, 0, m.NumCPUs()*(len(m.Types)-1)),
+	}
 	for cpu := 0; cpu < m.NumCPUs(); cpu++ {
 		t := m.TypeOf(cpu)
 		for _, id := range wideEvents {

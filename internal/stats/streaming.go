@@ -108,24 +108,27 @@ func (w *Welford) Merge(o Welford) {
 // K samples. It keeps the raw window in a circular buffer (for eviction
 // order) and the same multiset in a sorted slice maintained by binary
 // insertion/removal, so Quantile never sorts: it is a direct interpolated
-// lookup identical to Percentile over the current window.
+// lookup identical to Percentile over the current window. Both buffers
+// grow with the window's fill, doubling but never past K, so a window
+// costs what it holds: a series with a few hundred samples in a
+// 4096-sample window holds a few hundred slots, not 4096.
 type RingQuantile struct {
-	ring   []float64 // circular raw-order buffer
-	sorted []float64 // ascending view of the same values
-	head   int       // next write position in ring
-	n      int       // current window fill
+	ring     []float64 // circular raw-order buffer, grown until full
+	sorted   []float64 // ascending view of the same values
+	capacity int       // window size K
+	head     int       // next write position in ring (len(ring) until full)
 }
 
+// minWindowGrow is the first allocation of a window's buffers.
+const minWindowGrow = 8
+
 // NewRingQuantile returns an estimator over a window of the given capacity
-// (minimum 1).
+// (minimum 1). It allocates nothing until the first sample.
 func NewRingQuantile(capacity int) *RingQuantile {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &RingQuantile{
-		ring:   make([]float64, capacity),
-		sorted: make([]float64, 0, capacity),
-	}
+	return &RingQuantile{capacity: capacity}
 }
 
 // Add ingests one sample, evicting the oldest once the window is full.
@@ -137,23 +140,34 @@ func (r *RingQuantile) Add(x float64) {
 	if math.IsNaN(x) {
 		return
 	}
-	if r.n == len(r.ring) {
+	if len(r.ring) == r.capacity {
 		old := r.ring[r.head]
 		i := sort.SearchFloat64s(r.sorted, old)
 		r.sorted = append(r.sorted[:i], r.sorted[i+1:]...)
-		r.n--
+		r.ring[r.head] = x
+	} else {
+		r.ring = append(growWindow(r.ring, r.capacity), x)
+		r.sorted = growWindow(r.sorted, r.capacity)
 	}
-	r.ring[r.head] = x
-	r.head = (r.head + 1) % len(r.ring)
-	r.n++
+	r.head = (r.head + 1) % r.capacity
 	i := sort.SearchFloat64s(r.sorted, x)
 	r.sorted = append(r.sorted, 0)
 	copy(r.sorted[i+1:], r.sorted[i:])
 	r.sorted[i] = x
 }
 
+// growWindow returns s with room for one more value: full buffers double,
+// clamped to limit, so neither buffer's capacity ever exceeds the window's.
+func growWindow(s []float64, limit int) []float64 {
+	if len(s) < cap(s) {
+		return s
+	}
+	c := min(max(2*cap(s), minWindowGrow), limit)
+	return append(make([]float64, 0, c), s...)
+}
+
 // N returns the current window fill.
-func (r *RingQuantile) N() int { return r.n }
+func (r *RingQuantile) N() int { return len(r.sorted) }
 
 // Quantile returns the p-th percentile (0-100) of the current window with
 // the same closest-ranks interpolation as Percentile; 0 when empty. A NaN
@@ -169,10 +183,7 @@ func (r *RingQuantile) Quantile(p float64) float64 {
 // Window returns the current window contents in insertion order (oldest
 // first), as a fresh slice.
 func (r *RingQuantile) Window() []float64 {
-	out := make([]float64, 0, r.n)
-	start := r.head - r.n
-	for i := 0; i < r.n; i++ {
-		out = append(out, r.ring[(start+i+len(r.ring))%len(r.ring)])
-	}
-	return out
+	out := make([]float64, 0, len(r.ring))
+	out = append(out, r.ring[r.head:]...)
+	return append(out, r.ring[:r.head]...)
 }

@@ -280,7 +280,8 @@ func (rw *respWriter) Write(b []byte) (int, error) {
 
 // Middleware wraps next with request accounting. The wrapper measures
 // wall time around the whole downstream chain, so composing it outside
-// http.TimeoutHandler makes timeout 503s count like any other response.
+// the request-deadline handler makes timeout 503s count like any other
+// response.
 func (o *Obs) Middleware(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		ep := o.resolve(r.URL.Path)

@@ -4,6 +4,7 @@ import (
 	"compress/gzip"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -251,7 +252,7 @@ func (s *Server) bareHandler() http.Handler {
 	s.extraMu.Unlock()
 	var h http.Handler = mux
 	if s.timeout > 0 {
-		h = http.TimeoutHandler(h, s.timeout, `{"status":503,"error":"request timed out"}`)
+		h = &deadlineHandler{handler: h, dt: s.timeout}
 	}
 	return methodGuard(h)
 }
@@ -290,9 +291,43 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	enc.Encode(v)
+	e := jsonEncoders.Get().(*jsonEncoder)
+	e.encode(w, v)
+	if e.n <= maxPooledBody {
+		jsonEncoders.Put(e)
+	}
+}
+
+// jsonEncoder is a pooled indenting json.Encoder. An Encoder keeps the
+// buffer it indents into across Encode calls, so a reused one does not
+// grow a body-sized buffer for every response. The Encoder writes into
+// the jsonEncoder, which passes each write on to the current response and
+// reports it done: a json.Encoder keeps its first write error for good,
+// and a pooled one outlives the connection that failed.
+type jsonEncoder struct {
+	enc *json.Encoder
+	w   io.Writer // the response being written
+	n   int       // bytes written to it
+}
+
+var jsonEncoders = sync.Pool{New: func() any {
+	e := &jsonEncoder{}
+	e.enc = json.NewEncoder(e)
+	e.enc.SetIndent("", " ")
+	return e
+}}
+
+// encode writes v, indented, to w.
+func (e *jsonEncoder) encode(w io.Writer, v any) {
+	e.w, e.n = w, 0
+	e.enc.Encode(v)
+	e.w = nil
+}
+
+func (e *jsonEncoder) Write(p []byte) (int, error) {
+	e.w.Write(p)
+	e.n += len(p)
+	return len(p), nil
 }
 
 // WriteAPIError writes an APIError response, for mounted handlers.

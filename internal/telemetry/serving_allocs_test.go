@@ -56,10 +56,13 @@ func perRequest(t *testing.T, h http.Handler, target string, n int) (allocs, byt
 
 // TestServingAllocationCeilings bounds what one request allocates on the
 // 12-machine rig. The store families of /metrics cost nothing per line,
-// and the inventory-shaped reads (/health, /query, /series) copy and sort
-// nothing; a regression on either shows up as allocations. The figures
-// in the comments below are go1.24.0's; net/http's own allocations,
-// which every figure includes, can move between Go releases.
+// the inventory-shaped reads (/health, /query, /series) copy and sort
+// nothing, and the JSON encoder and the deadline handler's buffers are
+// pooled; a regression on any of these shows up as allocations. The
+// figures in the comments below are go1.24.0's; net/http's own
+// allocations, which every figure includes, can move between Go releases.
+// Each ceiling is the measured figure plus two allocations and about a
+// kilobyte.
 func TestServingAllocationCeilings(t *testing.T) {
 	if testing.Short() {
 		t.Skip("streams a 12-machine fleet")
@@ -76,14 +79,23 @@ func TestServingAllocationCeilings(t *testing.T) {
 		maxAllocs float64
 		maxBytes  float64
 	}{
-		// The former writer took /metrics to 960 allocations and 304 KB;
-		// the ceiling is a third of its allocations and a fifth of its bytes.
-		{"/metrics", 317, 60 << 10},
-		// The rest sit at what the inventory alone gave them (the scan and
-		// sort of every key took 54, 64 and 83 allocations).
-		{"/health", 39, 8 << 10},
-		{"/query?machine=m0000&series=power_w&agg=1", 48, 10 << 10},
-		{"/series?machine=m0000", 51, 24 << 10},
+		// 38 allocations and 17.5 KB. The former writer took /metrics to
+		// 960 and 304 KB; with a fresh body buffer per request it was 42
+		// and 33.8 KB.
+		{"/metrics", 40, 19 << 10},
+		// 29, 36 and 34 allocations; 7.0, 7.9 and 11.7 KB. Before the
+		// pooled encoder and deadline handler they were 38, 47 and 49
+		// allocations and 7.8, 9.7 and 23.4 KB (and before the inventory,
+		// the scan and sort of every key took 54, 64 and 83 allocations).
+		{"/health", 31, 8 << 10},
+		{"/query?machine=m0000&series=power_w&agg=1", 38, 9 << 10},
+		{"/series?machine=m0000", 36, 13 << 10},
+		// 184 allocations and 44.5 KB; 204 and 101.1 KB before.
+		{"/fleet/query?rung=10s", 186, 46 << 10},
+		// 114-121 allocations and 18 KB; 136 and 34.7 KB before. The
+		// count moves with how many latency buckets each endpoint's
+		// histogram map holds, so this row has more room.
+		{"/status", 130, 20 << 10},
 	} {
 		allocs, bytes := perRequest(t, h, c.target, 50)
 		t.Logf("%s: %.0f allocations, %.1f KB per request", c.target, allocs, bytes/1024)

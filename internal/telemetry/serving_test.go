@@ -1,11 +1,15 @@
 package telemetry_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -83,6 +87,123 @@ func TestServingTimeout503Counted(t *testing.T) {
 	}
 	if st.Errors < 1 {
 		t.Fatalf("global error count %d after timeout", st.Errors)
+	}
+}
+
+// TestDeadlineLateWritesFail drives handlers that keep writing after
+// their deadline, interleaved with requests that finish in time. Every
+// late write must return http.ErrHandlerTimeout, and no later request may
+// be served through a timed-out handler's writer: a writer that went back
+// to the pool would be emptied, so late writes would succeed, or handed
+// to another request while the late handler still holds it. Both servers
+// draw on the one pool of writers, and with one P the pool hands back what
+// was put last.
+func TestDeadlineLateWritesFail(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	_, fast := seededServer(t, 10*time.Millisecond)
+	held := make(chan http.ResponseWriter)
+	write := make(chan bool)
+	late := make(chan error)
+	fast.Mount("/late", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		<-r.Context().Done()
+		held <- w
+		for <-write {
+			_, err := w.Write([]byte(`{"late":true}`))
+			w.WriteHeader(http.StatusOK)
+			late <- err
+		}
+	}))
+	_, slow := seededServer(t, 5*time.Second)
+	var served http.ResponseWriter
+	slow.Mount("/ontime", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		served = w
+		telemetry.WriteJSON(w, http.StatusOK, telemetry.HealthInfo{Status: "ok"})
+	}))
+	lateH, ontimeH := fast.Handler(), slow.Handler()
+
+	var timedOut []http.ResponseWriter
+	for round := 0; round < 4; round++ {
+		rec := httptest.NewRecorder()
+		lateH.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/late", nil))
+		if rec.Code != http.StatusServiceUnavailable || rec.Body.String() != `{"status":503,"error":"request timed out"}` {
+			t.Fatalf("/late past its deadline: %d %q", rec.Code, rec.Body.String())
+		}
+		timedOut = append(timedOut, <-held)
+		for i := 0; i < 5; i++ {
+			rec := httptest.NewRecorder()
+			ontimeH.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/ontime", nil))
+			if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"status": "ok"`) {
+				t.Fatalf("/ontime after a timed-out request: %d %q", rec.Code, rec.Body.String())
+			}
+			if slices.Contains(timedOut, served) {
+				t.Fatalf("round %d: /ontime request %d was served through a timed-out handler's writer", round, i)
+			}
+			write <- true
+			if err := <-late; err != http.ErrHandlerTimeout {
+				t.Fatalf("round %d: late write %d returned %v, want http.ErrHandlerTimeout", round, i, err)
+			}
+		}
+		write <- false
+	}
+}
+
+// TestDeadlineRepanics checks that a handler panic reaches the serving
+// goroutine with its value, as it does through http.TimeoutHandler, so
+// net/http's per-connection recovery still logs it.
+func TestDeadlineRepanics(t *testing.T) {
+	boom := http.HandlerFunc(func(http.ResponseWriter, *http.Request) { panic("boom") })
+	recovered := func(h http.Handler) (p any) {
+		defer func() { p = recover() }()
+		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/boom", nil))
+		return nil
+	}
+	if p := recovered(http.TimeoutHandler(boom, time.Second, "")); p != "boom" {
+		t.Fatalf("http.TimeoutHandler re-raised %v", p)
+	}
+	_, srv := seededServer(t, time.Second)
+	srv.Mount("/boom", boom)
+	if p := recovered(srv.BareHandler()); p != "boom" {
+		t.Fatalf("the deadline handler re-raised %v, want the handler's panic", p)
+	}
+}
+
+// TestDeadlineWriterAsNetHTTP checks the rest of what the port keeps
+// from net/http's timeoutWriter: a second WriteHeader is logged to the
+// serving http.Server's ErrorLog, naming the handler that made it; an
+// invalid status code panics; and Push passes through to a writer that
+// cannot push as http.ErrNotSupported.
+func TestDeadlineWriterAsNetHTTP(t *testing.T) {
+	_, srv := seededServer(t, 5*time.Second)
+	var pushErr error
+	srv.Mount("/twice", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		pushErr = w.(http.Pusher).Push("/health", nil)
+		w.WriteHeader(http.StatusAccepted)
+		w.WriteHeader(http.StatusOK)
+	}))
+	srv.Mount("/badcode", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { w.WriteHeader(42) }))
+	var logged bytes.Buffer
+	hs := &http.Server{ErrorLog: log.New(&logged, "", 0)}
+	req := httptest.NewRequest(http.MethodGet, "/twice", nil)
+	req = req.WithContext(context.WithValue(req.Context(), http.ServerContextKey, hs))
+	rec := httptest.NewRecorder()
+	srv.BareHandler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusAccepted {
+		t.Fatalf("/twice: status %d, want the first WriteHeader's 202", rec.Code)
+	}
+	if pushErr != http.ErrNotSupported {
+		t.Fatalf("Push through a recorder returned %v, want http.ErrNotSupported", pushErr)
+	}
+	if got := logged.String(); !strings.Contains(got, "http: superfluous response.WriteHeader call from hetpapi/internal/telemetry_test.TestDeadlineWriterAsNetHTTP") ||
+		!strings.Contains(got, "serving_test.go:") {
+		t.Fatalf("superfluous WriteHeader logged %q", got)
+	}
+	p := func() (p any) {
+		defer func() { p = recover() }()
+		srv.BareHandler().ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/badcode", nil))
+		return nil
+	}()
+	if p != "invalid WriteHeader code 42" {
+		t.Fatalf("WriteHeader(42) raised %v", p)
 	}
 }
 

@@ -13,11 +13,8 @@
 // shard's write lock for O(1) work per sample; the read path takes the
 // shard's read lock only long enough to copy points out ("copy-on-read"),
 // so queries never hold a lock while marshalling or aggregating. The raw
-// and rung rings grow lazily up to their configured capacity, so those
-// cost only the points they store. The percentile window does not: every
-// series reserves its full window and sorted view when it is created,
-// about 66 KB at the default capacity, whatever it holds (ROADMAP item
-// 1(a)).
+// and rung rings and the percentile window grow lazily up to their
+// configured capacity, so a series costs only the points it stores.
 //
 // Inventory: beside the shards the store keeps a sorted inventory of its
 // series, each machine's series in name order, with every series'

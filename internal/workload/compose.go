@@ -51,38 +51,31 @@ func (s *Sequence) PhaseName() string {
 	return ""
 }
 
-// Run implements Task, delegating to the current phase and advancing when
-// it completes. A slice that straddles a phase boundary is split.
+// Run implements Task, delegating to the current phase: the first that
+// is not done. A slice runs at most one phase. When that phase finishes
+// within the slice, the sequence advances, but the rest of the slice goes
+// unused: the next phase starts with the next slice. Splitting the slice
+// at the boundary would need each phase to report the time it used.
 func (s *Sequence) Run(ctx *ExecContext, dt float64, out *events.Stats) float64 {
 	*out = events.Stats{}
-	var activity float64
-	remaining := dt
-	for remaining > 1e-12 && !s.Done() {
+	if dt <= 1e-12 {
+		return 0
+	}
+	for ; !s.Done(); s.idx++ {
 		cur := s.tasks[s.idx]
 		if cur.Done() {
-			s.idx++
 			continue
 		}
-		act := cur.Run(ctx, remaining, &s.phase)
+		act := cur.Run(ctx, dt, &s.phase)
 		out.Add(s.phase)
-		// Weight activity by the share of the slice each phase used; the
-		// common case is one phase per slice.
-		if activity == 0 {
-			activity = act
-		} else {
-			activity = (activity + act) / 2
-		}
 		if cur.Done() {
+			// The phase finished somewhere in this slice; the time it
+			// left over is not given to the next phase.
 			s.idx++
-			// Approximate: the rest of the slice goes to the next phase on
-			// the next iteration; we cannot know exactly how much time the
-			// finished phase consumed, so grant the remainder fully.
 		}
-		// Tasks consume the whole slice unless they finish; either way we
-		// are done with this dt.
-		break
+		return act
 	}
-	return activity
+	return 0
 }
 
 // Branchy is a branch-heavy, poorly predicted workload (pointer chasing,

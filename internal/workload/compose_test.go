@@ -47,6 +47,26 @@ func TestSequenceRunsPhasesInOrder(t *testing.T) {
 	}
 }
 
+// TestSequenceSliceEndsWithPhase pins what a slice straddling a phase
+// boundary retires: only the finishing phase's work. A 1M-instruction
+// loop takes about a twelfth of a 1 ms slice on a Raptor Lake P-core, and
+// the 1G-instruction loop after it starts only with the next slice.
+func TestSequenceSliceEndsWithPhase(t *testing.T) {
+	ctx := pCtx(hw.RaptorLake())
+	short := NewInstructionLoop("short", 1e6, 1)
+	long := NewInstructionLoop("long", 1e9, 1)
+	seq := NewSequence("app", short, long)
+	if st, _ := runSlice(seq, ctx, 0.001); st.Instructions != 1e6 {
+		t.Fatalf("the straddling slice retired %g instructions, want the first phase's 1e6", st.Instructions)
+	}
+	if !short.Done() || seq.PhaseIndex() != 1 {
+		t.Fatalf("after the straddling slice: first phase done %v, phase index %d", short.Done(), seq.PhaseIndex())
+	}
+	if st, _ := runSlice(seq, ctx, 0.001); st.Instructions <= 1e6 {
+		t.Fatalf("the next slice retired %g instructions of the second phase, want a whole slice's worth", st.Instructions)
+	}
+}
+
 func TestSequencePhaseIndexAdvances(t *testing.T) {
 	m := hw.RaptorLake()
 	ctx := pCtx(m)
